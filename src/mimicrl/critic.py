@@ -175,6 +175,7 @@ def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targe
         d_jsd_dp = 0.5 * (_entropy_slope(m) - _entropy_slope(q))
         upstream = (d_jsd_dp * in_range * weights)[:, None]
         g, _ = net.backward_batch(critic.params, sa, upstream, cache=cache)
+        del cache   # consumed; free it before the next critic's pass
         grads.append(g)
         if i == 0:
             diag["q_mean_expert"] = float(np.mean(q[:n_e]))
@@ -185,14 +186,17 @@ def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targe
 
 
 def soft_update(main, target, tau):
-    """target <- tau * main + (1 - tau) * target (flat views); returns target."""
+    """target <- tau * main + (1 - tau) * target, in place on the flat vectors.
+
+    Returns target.
+    """
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    main_flat = main.params.get_flat()
-    target_flat = target.params.get_flat()
-    if main_flat.shape != target_flat.shape:
+    if main.params.n_params != target.params.n_params:
         raise DimensionMismatch("main and target critics have different shapes")
-    target.params.set_flat(tau * main_flat + (1.0 - tau) * target_flat)
+    target_flat = target.params.flat
+    target_flat *= 1.0 - tau
+    target_flat += tau * main.params.flat
     return target
 
 

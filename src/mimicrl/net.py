@@ -5,8 +5,12 @@ layered affine+activation networks, reverse-mode gradients with respect
 to both parameters and inputs, a bias-corrected Adam optimizer, a
 central-difference gradient checker, and a JSON checkpoint format.
 
-All functions treat parameters as values; nothing here keeps hidden
-state between calls.
+Each network stores its parameters in one contiguous float64 vector
+(``NetworkParams.flat``) with the layer arrays as views into it, so the
+update path works in place: ``adam_step`` and the critic's soft update
+mutate that vector (and Adam's moments), and ``backward_batch`` reuses
+the activation buffers of the forward cache it is given, which it
+consumes. Nothing here keeps hidden state between calls.
 """
 
 from __future__ import annotations
@@ -26,25 +30,42 @@ def _apply_activation(name, z):
         return np.tanh(z)
     if name == "relu":
         return np.maximum(z, 0.0)
-    if name == "identity":
-        return z
     if name == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name!r}")
+    return z
 
 
-def _activation_grad(name, z, a):
-    # Derivative expressed via pre-activation z or activation a, whichever
-    # is cheaper. relu uses the z > 0 subgradient (0 at the kink).
+def _activate(name, z):
+    """Apply the activation to the pre-activation z in place."""
     if name == "tanh":
-        return 1.0 - a * a
+        np.tanh(z, out=z)
+    elif name == "relu":
+        np.maximum(z, 0.0, out=z)
+    elif name == "sigmoid":
+        # 1 / (1 + exp(-z)), step by step
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        z += 1.0
+        np.divide(1.0, z, out=z)
+
+
+def _activation_grad(name, a):
+    """Derivative of the activation, read from the activation a.
+
+    Returns a fresh array, or None for identity (derivative 1). relu
+    uses the z > 0 subgradient (0 at the kink), which is the mask
+    a > 0.
+    """
+    if name == "tanh":
+        d = a * a
+        return np.subtract(1.0, d, out=d)
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "identity":
-        return np.ones_like(z)
+        return a > 0.0
     if name == "sigmoid":
-        return a * (1.0 - a)
-    raise ValueError(f"unknown activation {name!r}")
+        d = 1.0 - a
+        d *= a
+        return d
+    return None
 
 
 @dataclass
@@ -77,13 +98,19 @@ class Layer:
 
 @dataclass
 class NetworkParams:
-    """Ordered affine+activation layers with a flat-vector view.
+    """Ordered affine+activation layers stored in one flat vector.
 
-    The flat view concatenates, per layer, the row-major weight matrix
-    followed by the bias vector. ``set_flat(get_flat())`` is exact.
+    ``flat`` is a contiguous float64 vector that concatenates, per layer,
+    the row-major weight matrix followed by the bias vector. Every
+    ``Layer.weights`` and ``Layer.bias`` is a view into it, so writing
+    either one writes the other. Construction copies the given layers'
+    arrays into a fresh vector and rebinds the layers to views of it.
+    ``get_flat`` returns a copy; ``set_flat`` copies into ``flat`` in
+    place, and ``set_flat(get_flat())`` is exact.
     """
 
     layers: list[Layer] = field(default_factory=list)
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for prev, nxt in zip(self.layers, self.layers[1:]):
@@ -91,6 +118,11 @@ class NetworkParams:
                 raise DimensionMismatch(
                     f"layer dims do not chain: {prev.n_out} -> {nxt.n_in}"
                 )
+        self.flat = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        for l, (w, b) in zip(self.layers, self._layer_views(self.flat)):
+            w[...] = l.weights
+            b[...] = l.bias
+            l.weights, l.bias = w, b
 
     @property
     def n_in(self):
@@ -102,12 +134,21 @@ class NetworkParams:
 
     @property
     def n_params(self):
-        return sum(l.weights.size + l.bias.size for l in self.layers)
+        return self.flat.size
+
+    def _layer_views(self, vec):
+        """Per-layer (weights, bias) views into a vector laid out like flat."""
+        views = []
+        i = 0
+        for l in self.layers:
+            n_out, n_in = l.weights.shape
+            j = i + n_out * n_in
+            views.append((vec[i:j].reshape(n_out, n_in), vec[j:j + n_out]))
+            i = j + n_out
+        return views
 
     def get_flat(self):
-        return np.concatenate(
-            [np.concatenate([l.weights.ravel(), l.bias]) for l in self.layers]
-        )
+        return self.flat.copy()
 
     def set_flat(self, flat):
         flat = np.asarray(flat, dtype=np.float64)
@@ -115,18 +156,12 @@ class NetworkParams:
             raise DimensionMismatch(
                 f"flat vector has {flat.shape} elements, expected {self.n_params}"
             )
-        i = 0
-        for l in self.layers:
-            w = l.weights.size
-            l.weights = flat[i:i + w].reshape(l.weights.shape).copy()
-            i += w
-            b = l.bias.size
-            l.bias = flat[i:i + b].copy()
-            i += b
+        self.flat[...] = flat
 
     def copy(self):
+        # construction copies the arrays into the new network's own vector
         return NetworkParams(
-            [Layer(l.weights.copy(), l.bias.copy(), l.activation) for l in self.layers]
+            [Layer(l.weights, l.bias, l.activation) for l in self.layers]
         )
 
 
@@ -157,35 +192,82 @@ def mlp_activations(n_hidden, out_activation, hidden_activation="relu"):
 def forward_batch(params, x, want_cache=False):
     """Run a (batch, n_in) matrix through the network.
 
-    Returns the (batch, n_out) output, plus the per-layer (z, a) cache
-    when want_cache is set (needed by backward_batch).
+    Returns the (batch, n_out) output, plus the per-layer (input,
+    activation) cache when want_cache is set (needed by backward_batch).
+    The activations of all layers, output included, are views into one
+    fresh allocation per call, computed in place; x is never written.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.n_in:
         raise DimensionMismatch(
             f"input shape {x.shape} does not match network input dim {params.n_in}"
         )
+    n = x.shape[0]
+    # one allocation per pass: glibc then sizes its heap trim threshold
+    # (twice the largest freed mmap chunk) to a whole pass, instead of
+    # handing the heap back and faulting it in again on every pass
+    block = np.empty(n * sum(l.n_out for l in params.layers))
     a = x
     cache = [] if want_cache else None
+    pos = 0
     for l in params.layers:
-        z = a @ l.weights.T + l.bias
-        a_next = _apply_activation(l.activation, z)
+        z = block[pos:pos + n * l.n_out].reshape(n, l.n_out)
+        pos += z.size
+        np.matmul(a, l.weights.T, out=z)
+        z += l.bias
+        _activate(l.activation, z)
         if want_cache:
-            cache.append((a, z, a_next))
-        a = a_next
+            cache.append((a, z))
+        a = z
     if want_cache:
         return a, cache
     return a
 
 
 def forward(params, x):
-    """Single-vector forward pass: real[n_in] -> real[n_out]."""
+    """Single-vector forward pass: real[n_in] -> real[n_out].
+
+    Same arithmetic as a one-row forward_batch, written out of place: at
+    one row numpy serves every array from its small-block cache, where
+    allocating operations are cheaper than in-place ones.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (params.n_in,):
         raise DimensionMismatch(
             f"input shape {x.shape} does not match network input dim {params.n_in}"
         )
-    return forward_batch(params, x[None, :])[0]
+    a = x[None, :]
+    for l in params.layers:
+        a = _apply_activation(l.activation, a @ l.weights.T + l.bias)
+    return a[0]
+
+
+def _backprop(params, upstream, cache, grad_views):
+    """Backpropagate upstream through a forward cache; returns input grads.
+
+    Writes each layer's dW and db into grad_views (see _layer_views)
+    unless it is None. The gradient into a hidden layer goes through that
+    layer's activation buffer in the cache, so the cache is consumed;
+    the network input and output (the first input and last activation)
+    are only read.
+    """
+    layers = params.layers
+    last = len(layers) - 1
+    d = _activation_grad(layers[last].activation, cache[last][1])
+    dz = upstream if d is None else upstream * d
+    for i in range(last, -1, -1):
+        a_in = cache[i][0]
+        if grad_views is not None:
+            gw, gb = grad_views[i]
+            np.matmul(dz.T, a_in, out=gw)
+            np.sum(dz, axis=0, out=gb)
+        if i == 0:
+            return dz @ layers[0].weights
+        # the mask must be read from a_in before a_in receives the gradient
+        d = _activation_grad(layers[i - 1].activation, a_in)
+        dz = np.matmul(dz, layers[i].weights, out=a_in)
+        if d is not None:
+            dz *= d
 
 
 def backward_batch(params, x, upstream, cache=None):
@@ -194,6 +276,10 @@ def backward_batch(params, x, upstream, cache=None):
     upstream is dL/d(output) with shape (batch, n_out). Returns
     (param_grads, input_grads): param_grads is the flat-view gradient
     summed over the batch; input_grads has shape (batch, n_in).
+
+    A cache from forward_batch serves one backward pass: its hidden
+    activation buffers are overwritten with gradients. x, upstream and
+    the network output are left unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
@@ -205,31 +291,13 @@ def backward_batch(params, x, upstream, cache=None):
             f"(batch={x.shape[0]}, n_out={params.n_out})"
         )
     flat = np.empty(params.n_params)
-    offsets = []
-    pos = 0
-    for l in params.layers:
-        offsets.append(pos)
-        pos += l.weights.size + l.bias.size
-    g = upstream
-    for i in range(len(params.layers) - 1, -1, -1):
-        l = params.layers[i]
-        a_in, z, a_out = cache[i]
-        dz = g * _activation_grad(l.activation, z, a_out)
-        w = l.weights.size
-        flat[offsets[i]:offsets[i] + w] = (dz.T @ a_in).ravel()
-        flat[offsets[i] + w:offsets[i] + w + l.bias.size] = dz.sum(axis=0)
-        g = dz @ l.weights
+    g = _backprop(params, upstream, cache, params._layer_views(flat))
     return flat, g
 
 
 def input_grad_batch(params, x, upstream, cache):
-    """Input gradients only (no parameter gradients); needs a cache."""
-    g = upstream
-    for i in range(len(params.layers) - 1, -1, -1):
-        l = params.layers[i]
-        _, z, a_out = cache[i]
-        g = (g * _activation_grad(l.activation, z, a_out)) @ l.weights
-    return g
+    """Input gradients only (no parameter gradients); consumes the cache."""
+    return _backprop(params, upstream, cache, None)
 
 
 def backward(params, x, upstream_grad):
@@ -269,10 +337,11 @@ class AdamState:
 
 
 def adam_step(state, params, grads):
-    """One Adam descent step on params.get_flat(); returns (params, state).
+    """One Adam descent step on params.flat, in place; returns (params, state).
 
-    Both arguments are updated functionally: fresh moment vectors and a
-    fresh flat view are written back into the same params object.
+    Updates the moment vectors and the parameter vector in place and
+    advances state.step_count; the same params and state objects are
+    returned.
     """
     grads = np.asarray(grads, dtype=np.float64)
     n = params.n_params
@@ -280,18 +349,29 @@ def adam_step(state, params, grads):
         raise DimensionMismatch(f"gradient has shape {grads.shape}, expected ({n},)")
     if state.first_moment.shape != (n,):
         raise DimensionMismatch("Adam moment vectors do not match parameter count")
-    if not np.all(np.isfinite(grads)):
+    if not np.isfinite(grads).all():
         bad = int(np.count_nonzero(~np.isfinite(grads)))
         raise NonFiniteError(f"{bad} non-finite gradient component(s); aborting update")
     t = state.step_count + 1
-    m = state.beta1 * state.first_moment + (1.0 - state.beta1) * grads
-    v = state.beta2 * state.second_moment + (1.0 - state.beta2) * grads * grads
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    flat = params.get_flat() - state.lr * m_hat / (np.sqrt(v_hat) + state.eps_adam)
-    params.set_flat(flat)
-    new_state = AdamState(m, v, t, state.lr, state.beta1, state.beta2, state.eps_adam)
-    return params, new_state
+    m, v = state.first_moment, state.second_moment
+    # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
+    m *= state.beta1
+    step = (1.0 - state.beta1) * grads
+    m += step
+    v *= state.beta2
+    np.multiply(1.0 - state.beta2, grads, out=step)
+    step *= grads
+    v += step
+    # flat -= lr m_hat / (sqrt(v_hat) + eps)
+    np.divide(m, 1.0 - state.beta1 ** t, out=step)
+    step *= state.lr
+    denom = v / (1.0 - state.beta2 ** t)
+    np.sqrt(denom, out=denom)
+    denom += state.eps_adam
+    step /= denom
+    params.flat -= step
+    state.step_count = t
+    return params, state
 
 
 def finite_diff_check(fn, point, analytic_grad, step=1e-5):

@@ -136,37 +136,39 @@ def train_bc(config, dataset):
         log_std_init=config.log_std_init,
     )
     views = dataset.training_arrays()
-    n_net = policy.mean_net.n_params
-    opt = net.AdamState.for_params(n_net + policy.log_std.size, lr=config.lr)
+    # single flat vector so one Adam state covers net and log_std
+    joint = _JointParams(policy)
+    opt = net.AdamState.for_params(joint.n_params, lr=config.lr)
     history = []
     for step_i in range(config.steps):
         idx = rng.integers(0, len(views), size=config.batch)
         nll, g_net, g_std = bc_nll_and_grads(policy, views.obs[idx], views.act[idx])
-        # single flat vector so one Adam state covers net and log_std
-        joint = _JointParams(policy)
-        joint, opt = net.adam_step(opt, joint, np.concatenate([g_net, g_std]))
+        net.adam_step(opt, joint, np.concatenate([g_net, g_std]))
+        joint.store()
         if step_i % 100 == 0 or step_i == config.steps - 1:
             history.append((step_i, nll))
     return policy, history
 
 
 class _JointParams:
-    """Adapter presenting (mean_net, log_std) as one flat parameter vector."""
+    """(mean_net, log_std) as one flat parameter vector for adam_step.
+
+    policy.log_std becomes the trailing slice of ``flat``, so an Adam
+    step updates it in place; ``store`` copies the leading slice back
+    into the mean network.
+    """
 
     def __init__(self, policy):
-        self.policy = policy
+        self.mean_net = policy.mean_net
+        self.flat = np.concatenate([policy.mean_net.flat, policy.log_std])
+        policy.log_std = self.flat[policy.mean_net.n_params:]
 
     @property
     def n_params(self):
-        return self.policy.mean_net.n_params + self.policy.log_std.size
+        return self.flat.size
 
-    def get_flat(self):
-        return np.concatenate([self.policy.mean_net.get_flat(), self.policy.log_std])
-
-    def set_flat(self, flat):
-        n = self.policy.mean_net.n_params
-        self.policy.mean_net.set_flat(flat[:n])
-        self.policy.log_std = flat[n:].copy()
+    def store(self):
+        self.mean_net.set_flat(self.flat[:self.mean_net.n_params])
 
 
 def save_bc_policy(policy, path):

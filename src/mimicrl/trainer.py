@@ -71,6 +71,16 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.batch_expert < 1 or self.batch_beta < 1:
             raise ValueError("batch sizes must be >= 1")
+        for name in ("max_episodes", "k_next_samples", "eval_every",
+                     "eval_episodes", "buffer_capacity"):
+            v = getattr(self, name)
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v}")
+        if self.noise_dim is not None and self.noise_dim < 0:
+            raise ValueError(f"noise_dim must be >= 0, got {self.noise_dim}")
+        # the clamp interval [clamp_eps, 1 - clamp_eps] must be nonempty
+        if not 0.0 < self.clamp_eps < 0.5:
+            raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
 
     @classmethod
     def from_dict(cls, doc):
@@ -199,16 +209,13 @@ def update_step(state, expert_views, buffer, config, rng, episode=0,
             state.critic1, state.critic2, e_obs, e_act, expert_targets,
             beta.obs, beta.act, beta_targets,
         )
-        state.critic1.params, state.opt_critic1 = net.adam_step(
-            state.opt_critic1, state.critic1.params, g1)
-        state.critic2.params, state.opt_critic2 = net.adam_step(
-            state.opt_critic2, state.critic2.params, g2)
+        net.adam_step(state.opt_critic1, state.critic1.params, g1)
+        net.adam_step(state.opt_critic2, state.critic2.params, g2)
 
         beta_pi = buffer.sample_arrays(config.batch_beta, rng)
         ascent, actor_obj = actor_mod.policy_gradient(
             state.actor, state.critic1, beta_pi.obs, rng)
-        state.actor.params, state.opt_actor = net.adam_step(
-            state.opt_actor, state.actor.params, -ascent)
+        net.adam_step(state.opt_actor, state.actor.params, -ascent)
     except NonFiniteError as e:
         e.batch_dump = {
             "episode": episode,
@@ -250,16 +257,23 @@ def evaluate(policy, env_id, n_episodes, seed):
 
 
 class _CsvWriter:
+    """CSV file held open for the run; every row is one write, then flushed."""
+
     def __init__(self, path, columns):
-        self.path = path
         self.columns = columns
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(",".join(columns) + "\n")
+        self._file = open(path, "w", encoding="utf-8")
+        self._write(",".join(columns))
+
+    def _write(self, line):
+        self._file.write(line + "\n")
+        self._file.flush()
 
     def append(self, row):
-        with open(self.path, "a", encoding="utf-8") as f:
-            f.write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                             for c in self.columns) + "\n")
+        self._write(",".join(repr(row[c]) if isinstance(row[c], float) else str(row[c])
+                             for c in self.columns))
+
+    def close(self):
+        self._file.close()
 
 
 def _write_checkpoints(state, out_dir):
@@ -288,17 +302,16 @@ def train(config, dataset, out_dir=None, verbose=False):
     metrics = RunMetrics()
 
     update_csv = eval_csv = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-            json.dump(config.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")
-        update_csv = _CsvWriter(os.path.join(out_dir, "metrics.csv"), UPDATE_COLUMNS)
-        eval_csv = _CsvWriter(os.path.join(out_dir, "eval.csv"), EVAL_COLUMNS)
-
     env_steps = 0
     eval_seed = config.seed + EVAL_SEED_OFFSET
     try:
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
+                json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+                f.write("\n")
+            update_csv = _CsvWriter(os.path.join(out_dir, "metrics.csv"), UPDATE_COLUMNS)
+            eval_csv = _CsvWriter(os.path.join(out_dir, "eval.csv"), EVAL_COLUMNS)
         for episode in range(1, config.max_episodes + 1):
             t = collect_episode(config.env_id, state.actor, buffer, rng,
                                 traj_id=episode)
@@ -331,6 +344,10 @@ def train(config, dataset, out_dir=None, verbose=False):
             with open(dump_path, "w", encoding="utf-8") as f:
                 json.dump(e.batch_dump, f)
         raise
+    finally:
+        for writer in (update_csv, eval_csv):
+            if writer is not None:
+                writer.close()
 
     if out_dir is not None:
         _write_checkpoints(state, out_dir)

@@ -131,6 +131,16 @@ def test_train_unknown_config_key_exit_1(expert_file, tmp_path, capsys):
     assert "bogus_knob" in capsys.readouterr().err
 
 
+def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
+    cfg_path = write_config(tmp_path, max_episodes=0)
+    out = tmp_path / "x"
+    rc = cli.main(["train", "--config", str(cfg_path),
+                   "--expert", str(expert_file), "--out", str(out)])
+    assert rc == 1
+    assert "max_episodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_bc_and_eval_match_trainer_evaluate(expert_file, tmp_path, capsys):
     bc_cfg = tmp_path / "bc.json"
     bc_cfg.write_text(json.dumps({"env_id": "linereacher-v0", "seed": 2,

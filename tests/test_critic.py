@@ -255,6 +255,21 @@ def test_soft_update_geometric_decay():
     assert dn / d0 == pytest.approx((1 - tau) ** 100, abs=1e-9)
 
 
+def test_soft_update_matches_lerp_bit_for_bit():
+    rng = np.random.default_rng(12)
+    spec = env_spec("linereacher-v0")
+    main = critic.make_critic(spec, rng)
+    target = critic.make_critic(spec, rng)
+    main_before, target_before = main.params.get_flat(), target.params.get_flat()
+    tau = 0.003
+    expected = tau * main_before + (1.0 - tau) * target_before
+    target_flat = target.params.flat
+    assert critic.soft_update(main, target, tau) is target
+    assert target.params.flat is target_flat   # updated in place
+    assert target.params.get_flat().tobytes() == expected.tobytes()
+    assert main.params.get_flat().tobytes() == main_before.tobytes()
+
+
 def test_soft_update_rejects_bad_tau():
     main, target = random_critic(26), random_critic(27)
     with pytest.raises(ValueError):

@@ -225,3 +225,148 @@ def test_checkpoint_round_trip(tmp_path):
     assert [l["activation"] for l in doc["layers"]] == ["relu", "tanh"]
     assert doc["layers"][0]["in"] == 3 and doc["layers"][0]["out"] == 8
     assert np.array_equal(p.get_flat(), q.get_flat())
+
+
+# Reference engine: the out-of-place formulas the in-place engine must
+# reproduce bit for bit.
+
+def _ref_activation(name, z):
+    if name == "tanh":
+        return np.tanh(z)
+    if name == "relu":
+        return np.maximum(z, 0.0)
+    if name == "identity":
+        return z
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def _ref_activation_grad(name, z, a):
+    if name == "tanh":
+        return 1.0 - a * a
+    if name == "relu":
+        return (z > 0.0).astype(np.float64)
+    if name == "identity":
+        return np.ones_like(z)
+    return a * (1.0 - a)
+
+
+def reference_forward_backward(params, x, upstream):
+    """(output, flat param grads, input grads) by the textbook formulas."""
+    cache = []
+    a = x
+    for l in params.layers:
+        z = a @ l.weights.T + l.bias
+        a_next = _ref_activation(l.activation, z)
+        cache.append((a, z, a_next))
+        a = a_next
+    grads = []
+    g = upstream
+    for l, (a_in, z, a_out) in reversed(list(zip(params.layers, cache))):
+        dz = g * _ref_activation_grad(l.activation, z, a_out)
+        grads[:0] = [(dz.T @ a_in).ravel(), dz.sum(axis=0)]
+        g = dz @ l.weights
+    return a, np.concatenate(grads), g
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def random_network(rng, activation):
+    depth = int(rng.integers(1, 5))
+    dims = [int(d) for d in rng.integers(1, 70, size=depth + 1)]
+    acts = [str(a) for a in rng.choice(net.ACTIVATIONS, size=depth)]
+    acts[int(rng.integers(depth))] = activation
+    p = net.init_network(dims, acts, rng)
+    p.set_flat(2.0 * p.get_flat() + rng.standard_normal(p.n_params) * 0.1)
+    return p
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+def test_engine_matches_reference_bit_for_bit(activation, seed):
+    rng = np.random.default_rng([seed, net.ACTIVATIONS.index(activation)])
+    p = random_network(rng, activation)
+    n = int(rng.integers(1, 300))
+    x = 3.0 * rng.standard_normal((n, p.n_in))
+    x[0] = 0.0   # exact zero pre-activations where the bias is zero
+    upstream = rng.standard_normal((n, p.n_out))
+    ref_out, ref_grads, ref_gin = reference_forward_backward(p, x, upstream)
+
+    out, cache = net.forward_batch(p, x, want_cache=True)
+    assert_bits_equal(out, ref_out)
+    assert_bits_equal(net.forward_batch(p, x), ref_out)
+    # one row is a different BLAS call than a row of a batch, so the
+    # single-vector path is compared with a one-row reference
+    for i in (0, n - 1):
+        row = x[i:i + 1]
+        ref_row = reference_forward_backward(p, row, upstream[i:i + 1])[0]
+        assert_bits_equal(net.forward(p, x[i]), ref_row[0])
+        assert_bits_equal(net.forward_batch(p, row), ref_row)
+
+    x_before, up_before, out_before = x.copy(), upstream.copy(), out.copy()
+    grads, gin = net.backward_batch(p, x, upstream, cache=cache)
+    assert_bits_equal(grads, ref_grads)
+    assert_bits_equal(gin, ref_gin)
+    # the cache is consumed, but the caller's arrays are only read
+    assert_bits_equal(x, x_before)
+    assert_bits_equal(upstream, up_before)
+    assert_bits_equal(out, out_before)
+
+    grads_nc, gin_nc = net.backward_batch(p, x, upstream)
+    assert_bits_equal(grads_nc, ref_grads)
+    assert_bits_equal(gin_nc, ref_gin)
+    _, cache = net.forward_batch(p, x, want_cache=True)
+    assert_bits_equal(net.input_grad_batch(p, x, upstream, cache), ref_gin)
+
+
+def test_adam_step_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    p = net.init_network([5, 7, 3], ["tanh", "identity"], rng)
+    st = net.AdamState.for_params(p.n_params, lr=0.01)
+    flat = p.get_flat()
+    m = np.zeros(p.n_params)
+    v = np.zeros(p.n_params)
+    b1, b2, eps = st.beta1, st.beta2, st.eps_adam
+    for t in range(1, 6):
+        g = rng.standard_normal(p.n_params)
+        g_before = g.copy()
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        flat = flat - st.lr * m_hat / (np.sqrt(v_hat) + eps)
+        p_out, st_out = net.adam_step(st, p, g)
+        assert p_out is p and st_out is st
+        assert st.step_count == t
+        assert_bits_equal(p.flat, flat)
+        assert_bits_equal(st.first_moment, m)
+        assert_bits_equal(st.second_moment, v)
+        assert_bits_equal(g, g_before)
+
+
+def _assert_layers_view_flat(p):
+    for l in p.layers:
+        assert np.shares_memory(l.weights, p.flat)
+        assert np.shares_memory(l.bias, p.flat)
+    assert np.array_equal(p.flat, np.concatenate(
+        [np.concatenate([l.weights.ravel(), l.bias]) for l in p.layers]))
+
+
+def test_layer_arrays_are_views_into_flat():
+    rng = np.random.default_rng(9)
+    p = net.init_network([3, 6, 2], ["relu", "sigmoid"], rng)
+    _assert_layers_view_flat(p)
+    p.set_flat(rng.standard_normal(p.n_params))
+    _assert_layers_view_flat(p)
+    p.layers[0].bias[:] = 4.0   # a write through a layer lands in flat
+    assert np.all(p.flat[18:24] == 4.0)
+    q = p.copy()
+    _assert_layers_view_flat(q)
+    assert not np.shares_memory(q.flat, p.flat)
+    r = net.params_from_dict(net.checkpoint_dict(p))
+    _assert_layers_view_flat(r)
+    assert np.array_equal(r.flat, p.flat)
+    snapshot = p.get_flat()
+    assert not np.shares_memory(snapshot, p.flat)

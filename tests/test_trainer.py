@@ -44,6 +44,31 @@ def test_config_rejects_unknown_keys():
                                        "learning_rate": 0.1})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("k_next_samples", 0),
+    ("eval_every", 0),
+    ("eval_episodes", 0),
+    ("max_episodes", 0),
+    ("buffer_capacity", 0),
+    ("noise_dim", -1),
+    ("clamp_eps", 0.0),
+    ("clamp_eps", 0.5),
+    ("clamp_eps", 0.6),
+])
+def test_config_rejects_invalid_values_at_load(field, value):
+    with pytest.raises(ValueError, match=field):
+        trainer.TrainConfig.from_dict({"env_id": "linereacher-v0", "seed": 1,
+                                       field: value})
+
+
+def test_config_accepts_boundary_values():
+    cfg = trainer.TrainConfig.from_dict({
+        "env_id": "linereacher-v0", "seed": 1, "k_next_samples": 1,
+        "eval_every": 1, "eval_episodes": 1, "max_episodes": 1,
+        "buffer_capacity": 1, "noise_dim": 0, "clamp_eps": 0.49})
+    assert cfg.noise_dim == 0 and cfg.clamp_eps == 0.49
+
+
 def test_config_requires_identity():
     with pytest.raises(ValueError):
         trainer.TrainConfig.from_dict({"env_id": "linereacher-v0"})
