@@ -23,8 +23,8 @@ y = net.forward(params, x)
 print(f"forward([0.37]) = {y}")
 
 print("\n== gradients vs central finite differences ==")
-upstream = np.array([1.0])
-grads, input_grad = net.backward(params, x, upstream)
+# a one-row batch: the gradients of the output at x
+grads, input_grads = net.backward_batch(params, x[None, :], np.array([[1.0]]))
 
 
 def output_of(flat_params):
@@ -37,7 +37,7 @@ err = net.finite_diff_check(output_of, params.get_flat(), grads, step=1e-5)
 print(f"max relative error over all {params.n_params} parameters: {err:.2e}")
 
 err_in = net.finite_diff_check(lambda v: float(net.forward(params, v)[0]),
-                               x, input_grad, step=1e-5)
+                               x, input_grads[0], step=1e-5)
 print(f"input-gradient error: {err_in:.2e}")
 
 print("\n== fitting sin(x) with Adam ==")
@@ -49,7 +49,7 @@ for step_i in range(2001):
     resid = pred - ys
     loss = float(np.mean(resid ** 2))
     grad, _ = net.backward_batch(params, xs, 2.0 * resid / len(xs), cache=cache)
-    params, opt = net.adam_step(opt, params, grad)
+    net.adam_step(opt, params.flat, grad)   # in place
     if step_i % 500 == 0:
         print(f"step {step_i:5d}  mse {loss:.6f}")
 print("a few predictions vs targets:")

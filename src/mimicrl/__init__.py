@@ -20,7 +20,6 @@ from .critic import (
     q_prob,
     save_critic,
     soft_update,
-    target_prob,
 )
 from .data import (
     ExpertDataset,
@@ -36,7 +35,6 @@ from .net import (
     Layer,
     NetworkParams,
     adam_step,
-    backward,
     finite_diff_check,
     forward,
     init_network,

@@ -15,11 +15,10 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
-import numpy as np
-
-from . import net, objectives, trainer
-from .actor import ActorPolicy
+from . import objectives, trainer
+from .actor import load_actor
 from .data import load_dataset
 from .envs import env_spec
 from .errors import MimicError
@@ -34,9 +33,12 @@ def _echo_config(doc, path):
 def _load_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            doc = json.load(f)
     except json.JSONDecodeError as e:
         raise MimicError(f"{what} {path}: malformed JSON at line {e.lineno}") from None
+    if not isinstance(doc, dict):
+        raise MimicError(f"{what} {path}: expected a JSON object")
+    return doc
 
 
 def cmd_gen_expert(args):
@@ -57,13 +59,8 @@ def cmd_gen_expert(args):
 
 
 def cmd_train(args):
-    doc = _load_json(args.config, "config")
-    config = trainer.TrainConfig.from_dict(doc)
+    config = trainer.TrainConfig.from_dict(_load_json(args.config, "config"))
     dataset = load_dataset(args.expert)
-    if dataset.spec.env_id != config.env_id:
-        print(f"error: dataset env {dataset.spec.env_id!r} does not match "
-              f"config env {config.env_id!r}", file=sys.stderr)
-        return 1
     result = trainer.train(config, dataset, out_dir=args.out, verbose=True)
     last = result.metrics.eval_rows[-1]
     print(f"done: {result.env_steps} env steps, final eval return "
@@ -72,26 +69,11 @@ def cmd_train(args):
 
 
 def cmd_train_bc(args):
-    doc = _load_json(args.config, "config")
-    known = set(objectives.BCConfig.__dataclass_fields__)
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise MimicError(f"unknown config keys: {unknown}")
-    if "env_id" not in doc or "seed" not in doc:
-        raise MimicError("config requires at least env_id and seed")
-    config = objectives.BCConfig(**doc)
+    config = objectives.BCConfig.from_dict(_load_json(args.config, "config"))
     dataset = load_dataset(args.expert)
-    if dataset.spec.env_id != config.env_id:
-        print(f"error: dataset env {dataset.spec.env_id!r} does not match "
-              f"config env {config.env_id!r}", file=sys.stderr)
-        return 1
     policy, history = objectives.train_bc(config, dataset)
     os.makedirs(args.out, exist_ok=True)
-    _echo_config(
-        {**doc, "steps": config.steps, "lr": config.lr, "batch": config.batch,
-         "hidden": list(config.hidden), "log_std_init": config.log_std_init},
-        os.path.join(args.out, "config.json"),
-    )
+    _echo_config(asdict(config), os.path.join(args.out, "config.json"))
     ckpt = os.path.join(args.out, "bc.ckpt")
     objectives.save_bc_policy(policy, ckpt)
     with open(os.path.join(args.out, "nll_history.csv"), "w", encoding="utf-8") as f:
@@ -102,24 +84,15 @@ def cmd_train_bc(args):
     return 0
 
 
-def _load_policy_checkpoint(path, spec):
-    params, doc = net.load_checkpoint(path)
-    if "log_std" in doc:
-        return objectives.load_bc_policy(path, spec)
-    if "noise_dim" in doc:
-        return ActorPolicy(
-            params=params,
-            noise_dim=int(doc["noise_dim"]),
-            action_center=np.asarray(doc["action_center"], dtype=np.float64),
-            action_halfwidth=np.asarray(doc["action_halfwidth"], dtype=np.float64),
-            env_id=doc.get("env_id", ""),
-        )
-    raise MimicError(f"{path} is neither an actor nor a BC checkpoint")
-
-
 def cmd_eval(args):
     spec = env_spec(args.env)
-    policy = _load_policy_checkpoint(args.actor, spec)
+    doc = _load_json(args.actor, "checkpoint")
+    if "log_std" in doc:
+        policy = objectives.load_bc_policy(args.actor, spec)
+    elif "noise_dim" in doc:
+        policy = load_actor(args.actor)
+    else:
+        raise MimicError(f"{args.actor} is neither an actor nor a BC checkpoint")
     mean, std, returns = trainer.evaluate(policy, args.env, args.episodes, args.seed)
     resolved = {"command": "eval", "actor": args.actor, "env_id": args.env,
                 "episodes": args.episodes, "seed": args.seed}

@@ -86,7 +86,9 @@ def bernoulli_entropy(p):
 def bernoulli_jsd(a, b):
     """Jensen-Shannon divergence between Bernoulli(a) and Bernoulli(b).
 
-    Symmetric, in [0, ln 2], zero exactly when a == b.
+    Symmetric and zero when a == b. Mathematically in [0, ln 2]; as a
+    difference of entropies it is computed to a few ulps of ln 2, so
+    pairs a few ulps apart can give 0 or about -1e-16.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -130,17 +132,6 @@ def branch_target(base, branch, clamp_eps):
     else:
         raise ValueError(f"unknown branch {branch!r}")
     return np.clip(scaled, clamp_eps, 1.0 - clamp_eps)
-
-
-def target_prob(target1, target2, next_obs, next_act, gamma, done, branch,
-                include_gamma=True):
-    """Single-transition target probability (see target_base_batch)."""
-    next_obs = np.asarray(next_obs, dtype=np.float64)[None, :]
-    next_act = np.asarray(next_act, dtype=np.float64)[None, :]
-    base = target_base_batch(
-        target1, target2, next_obs, next_act, gamma, [done], include_gamma
-    )
-    return float(branch_target(base, branch, target1.clamp_eps)[0])
 
 
 def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targets,

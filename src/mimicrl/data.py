@@ -14,8 +14,10 @@ and every following line is one transition::
 json round-trips float64 exactly (repr encoding), so save followed by
 load reproduces every value bit for bit.
 
-Rewards are carried for evaluation and filtering only. Training code
-receives TransitionArrays views, which do not expose rewards at all.
+Rewards are carried by expert datasets for return filtering and
+evaluation only. The replay buffer does not store them at all, and
+training code receives TransitionArrays views, which have no reward
+field, so no update can read a reward.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ class Transition:
     act: np.ndarray
     next_obs: np.ndarray
     done: bool
-    reward: float          # evaluation-only; never read by the trainer
+    reward: float          # for filtering expert data; the replay buffer drops it
     traj_id: int = 0
     t: int = 0
 
@@ -60,9 +62,10 @@ class TransitionArrays:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO ring over transitions.
+    """Fixed-capacity FIFO ring over (obs, act, next_obs, done).
 
-    Once full, the oldest entry is overwritten first. Sampling is
+    Once full, the oldest entry is overwritten first. A pushed
+    Transition's reward, traj_id and t are not stored. Sampling is
     uniform with replacement and reproducible from the generator state.
     """
 
@@ -76,9 +79,6 @@ class ReplayBuffer:
         self._act = np.zeros((capacity, act_dim))
         self._next_obs = np.zeros((capacity, obs_dim))
         self._done = np.zeros(capacity, dtype=bool)
-        self._reward = np.zeros(capacity)
-        self._traj_id = np.zeros(capacity, dtype=np.int64)
-        self._t = np.zeros(capacity, dtype=np.int64)
         self._write = 0
         self._size = 0
 
@@ -103,59 +103,20 @@ class ReplayBuffer:
         self._act[i] = act
         self._next_obs[i] = next_obs
         self._done[i] = bool(tr.done)
-        self._reward[i] = float(tr.reward)
-        self._traj_id[i] = tr.traj_id
-        self._t[i] = tr.t
         self._write = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
-    def _draw(self, batch_size, rng):
+    def sample_arrays(self, batch_size, rng):
+        """Uniform-with-replacement batch, as reward-free arrays."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        return rng.integers(0, self._size, size=batch_size)
-
-    def sample(self, batch_size, rng):
-        """Uniform-with-replacement sample as Transition objects."""
-        idx = self._draw(batch_size, rng)
-        return [
-            Transition(
-                obs=self._obs[i].copy(),
-                act=self._act[i].copy(),
-                next_obs=self._next_obs[i].copy(),
-                done=bool(self._done[i]),
-                reward=float(self._reward[i]),
-                traj_id=int(self._traj_id[i]),
-                t=int(self._t[i]),
-            )
-            for i in idx
-        ]
-
-    def sample_arrays(self, batch_size, rng):
-        """Reward-free batch view for the trainer."""
-        idx = self._draw(batch_size, rng)
+        idx = rng.integers(0, self._size, size=batch_size)
         return TransitionArrays(
             obs=self._obs[idx],
             act=self._act[idx],
             next_obs=self._next_obs[idx],
             done=self._done[idx].copy(),
         )
-
-    def contents(self):
-        """Current transitions, oldest first (eviction-order oracle)."""
-        order = (np.arange(self._size) + (self._write - self._size)) % self.capacity \
-            if self._size == self.capacity else np.arange(self._size)
-        return [
-            Transition(
-                obs=self._obs[i].copy(),
-                act=self._act[i].copy(),
-                next_obs=self._next_obs[i].copy(),
-                done=bool(self._done[i]),
-                reward=float(self._reward[i]),
-                traj_id=int(self._traj_id[i]),
-                t=int(self._t[i]),
-            )
-            for i in order
-        ]
 
 
 def trajectory_return(trajectory):

@@ -7,10 +7,12 @@ central-difference gradient checker, and a JSON checkpoint format.
 
 Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
-update path works in place: ``adam_step`` and the critic's soft update
-mutate that vector (and Adam's moments), and ``backward_batch`` reuses
-the activation buffers of the forward cache it is given, which it
-consumes. Nothing here keeps hidden state between calls.
+update path works in place: ``adam_step`` updates a parameter vector
+(that one, or any other such as a BC policy's ``log_std``) and Adam's
+moments in place, the critic's soft update mutates it, and
+``backward_batch`` reuses the activation buffers of the forward cache it
+is given, which it consumes. Nothing here keeps hidden state between
+calls.
 """
 
 from __future__ import annotations
@@ -300,25 +302,6 @@ def input_grad_batch(params, x, upstream, cache):
     return _backprop(params, upstream, cache, None)
 
 
-def backward(params, x, upstream_grad):
-    """Single-vector reverse mode: gradients of upstream . output.
-
-    Returns (param_grads flat vector, input_grad of shape (n_in,)).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    upstream_grad = np.asarray(upstream_grad, dtype=np.float64)
-    if x.shape != (params.n_in,):
-        raise DimensionMismatch(
-            f"input shape {x.shape} does not match network input dim {params.n_in}"
-        )
-    if upstream_grad.shape != (params.n_out,):
-        raise DimensionMismatch(
-            f"upstream shape {upstream_grad.shape} does not match output dim {params.n_out}"
-        )
-    flat, gin = backward_batch(params, x[None, :], upstream_grad[None, :])
-    return flat, gin[0]
-
-
 @dataclass
 class AdamState:
     """Bias-corrected Adam over a flat parameter vector."""
@@ -336,18 +319,17 @@ class AdamState:
         return cls(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps_adam)
 
 
-def adam_step(state, params, grads):
-    """One Adam descent step on params.flat, in place; returns (params, state).
+def adam_step(state, flat, grads):
+    """One Adam descent step on the vector flat, in place.
 
-    Updates the moment vectors and the parameter vector in place and
-    advances state.step_count; the same params and state objects are
-    returned.
+    flat is the parameter vector itself (e.g. ``NetworkParams.flat``),
+    not a copy: it and the moment vectors are updated in place, and
+    state.step_count advances. Nothing is returned.
     """
     grads = np.asarray(grads, dtype=np.float64)
-    n = params.n_params
-    if grads.shape != (n,):
-        raise DimensionMismatch(f"gradient has shape {grads.shape}, expected ({n},)")
-    if state.first_moment.shape != (n,):
+    if grads.shape != flat.shape:
+        raise DimensionMismatch(f"gradient has shape {grads.shape}, expected {flat.shape}")
+    if state.first_moment.shape != flat.shape:
         raise DimensionMismatch("Adam moment vectors do not match parameter count")
     if not np.isfinite(grads).all():
         bad = int(np.count_nonzero(~np.isfinite(grads)))
@@ -369,9 +351,8 @@ def adam_step(state, params, grads):
     np.sqrt(denom, out=denom)
     denom += state.eps_adam
     step /= denom
-    params.flat -= step
+    flat -= step
     state.step_count = t
-    return params, state
 
 
 def finite_diff_check(fn, point, analytic_grad, step=1e-5):

@@ -7,10 +7,13 @@ is no trained discriminator anywhere in this library.
 
 Behavior cloning is the supervised baseline: a Gaussian policy whose
 mean network is fit by maximum likelihood on expert state-action pairs.
+Its config shares JsonConfig, the JSON loader and value checks, with the
+trainer's TrainConfig.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +111,39 @@ def bc_act(policy, obs):
     return np.clip(mu, policy.action_low, policy.action_high)
 
 
+class JsonConfig:
+    """Base for the config dataclasses that the CLI reads from JSON.
+
+    ``from_dict`` rejects unknown keys and requires env_id and seed; each
+    subclass checks its values in ``__post_init__``, so a bad config
+    fails when it is loaded, before a run writes anything.
+    """
+
+    @classmethod
+    def from_dict(cls, doc):
+        unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown config keys: {unknown}")
+        if "env_id" not in doc or "seed" not in doc:
+            raise ValueError("config requires at least env_id and seed")
+        return cls(**doc)
+
+    def _require_at_least_one(self, *names):
+        for name in names:
+            v = getattr(self, name)
+            # a JSON float such as 1e6 would fail later, inside numpy or range
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+
+    def _require_unit_interval(self, *names):
+        for name in names:
+            v = getattr(self, name)
+            if not 0.0 <= v <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {v}")
+
+
 @dataclass
-class BCConfig:
+class BCConfig(JsonConfig):
     env_id: str
     seed: int
     steps: int = 3000
@@ -117,6 +151,14 @@ class BCConfig:
     batch: int = 128
     hidden: tuple = (64, 64)
     log_std_init: float = 0.0
+
+    def __post_init__(self):
+        self._require_at_least_one("steps", "batch")
+        self._require_unit_interval("lr")
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+                type(h) is int and h >= 1 for h in self.hidden):
+            raise ValueError(
+                f"hidden must be a list of positive ints, got {self.hidden!r}")
 
 
 def train_bc(config, dataset):
@@ -136,39 +178,17 @@ def train_bc(config, dataset):
         log_std_init=config.log_std_init,
     )
     views = dataset.training_arrays()
-    # single flat vector so one Adam state covers net and log_std
-    joint = _JointParams(policy)
-    opt = net.AdamState.for_params(joint.n_params, lr=config.lr)
+    opt_net = net.AdamState.for_params(policy.mean_net.n_params, lr=config.lr)
+    opt_std = net.AdamState.for_params(policy.log_std.size, lr=config.lr)
     history = []
     for step_i in range(config.steps):
         idx = rng.integers(0, len(views), size=config.batch)
         nll, g_net, g_std = bc_nll_and_grads(policy, views.obs[idx], views.act[idx])
-        net.adam_step(opt, joint, np.concatenate([g_net, g_std]))
-        joint.store()
+        net.adam_step(opt_net, policy.mean_net.flat, g_net)
+        net.adam_step(opt_std, policy.log_std, g_std)
         if step_i % 100 == 0 or step_i == config.steps - 1:
             history.append((step_i, nll))
     return policy, history
-
-
-class _JointParams:
-    """(mean_net, log_std) as one flat parameter vector for adam_step.
-
-    policy.log_std becomes the trailing slice of ``flat``, so an Adam
-    step updates it in place; ``store`` copies the leading slice back
-    into the mean network.
-    """
-
-    def __init__(self, policy):
-        self.mean_net = policy.mean_net
-        self.flat = np.concatenate([policy.mean_net.flat, policy.log_std])
-        policy.log_std = self.flat[policy.mean_net.n_params:]
-
-    @property
-    def n_params(self):
-        return self.flat.size
-
-    def store(self):
-        self.mean_net.set_flat(self.flat[:self.mean_net.n_params])
 
 
 def save_bc_policy(policy, path):

@@ -11,8 +11,10 @@ both target networks.
 
 Everything downstream of the config seed is deterministic: a fixed
 (config, dataset) pair reproduces metrics and checkpoints byte for
-byte. Rewards stored in buffers are never read by any update; they feed
-only evaluation and expert-data filtering.
+byte. No update reads a reward: the replay buffer does not store one,
+and the trainer sees the expert dataset only through reward-free
+TransitionArrays. Rewards feed only evaluation and expert-data
+filtering.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from . import net
 from .data import ExpertDataset, ReplayBuffer, Transition, save_dataset
 from .envs import env_spec, expert_action, reset, rollout, step
 from .errors import ExpertGenerationError, NonFiniteError
+from .objectives import JsonConfig
 
 UPDATE_COLUMNS = ("global_step", "episode", "critic_loss", "actor_obj",
                   "q_mean_expert", "q_mean_beta")
@@ -40,7 +43,7 @@ EVAL_SEED_OFFSET = 100_000
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(JsonConfig):
     env_id: str
     seed: int
     max_episodes: int = 500
@@ -63,37 +66,15 @@ class TrainConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         # tau = 0 freezes the targets entirely (soft updates are skipped)
-        if not 0.0 <= self.tau <= 1.0:
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        for name in ("actor_lr", "critic_lr"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.batch_expert < 1 or self.batch_beta < 1:
-            raise ValueError("batch sizes must be >= 1")
-        for name in ("max_episodes", "k_next_samples", "eval_every",
-                     "eval_episodes", "buffer_capacity"):
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v}")
+        self._require_unit_interval("tau", "actor_lr", "critic_lr")
+        self._require_at_least_one(
+            "batch_expert", "batch_beta", "max_episodes", "k_next_samples",
+            "eval_every", "eval_episodes", "buffer_capacity")
         if self.noise_dim is not None and self.noise_dim < 0:
             raise ValueError(f"noise_dim must be >= 0, got {self.noise_dim}")
         # the clamp interval [clamp_eps, 1 - clamp_eps] must be nonempty
         if not 0.0 < self.clamp_eps < 0.5:
             raise ValueError(f"clamp_eps must be in (0, 0.5), got {self.clamp_eps}")
-
-    @classmethod
-    def from_dict(cls, doc):
-        known = set(cls.__dataclass_fields__)
-        unknown = sorted(set(doc) - known)
-        if unknown:
-            raise ValueError(f"unknown config keys: {unknown}")
-        if "env_id" not in doc or "seed" not in doc:
-            raise ValueError("config requires at least env_id and seed")
-        return cls(**doc)
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -209,13 +190,13 @@ def update_step(state, expert_views, buffer, config, rng, episode=0,
             state.critic1, state.critic2, e_obs, e_act, expert_targets,
             beta.obs, beta.act, beta_targets,
         )
-        net.adam_step(state.opt_critic1, state.critic1.params, g1)
-        net.adam_step(state.opt_critic2, state.critic2.params, g2)
+        net.adam_step(state.opt_critic1, state.critic1.params.flat, g1)
+        net.adam_step(state.opt_critic2, state.critic2.params.flat, g2)
 
         beta_pi = buffer.sample_arrays(config.batch_beta, rng)
         ascent, actor_obj = actor_mod.policy_gradient(
             state.actor, state.critic1, beta_pi.obs, rng)
-        net.adam_step(state.opt_actor, state.actor.params, -ascent)
+        net.adam_step(state.opt_actor, state.actor.params.flat, -ascent)
     except NonFiniteError as e:
         e.batch_dump = {
             "episode": episode,
@@ -308,7 +289,7 @@ def train(config, dataset, out_dir=None, verbose=False):
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-                json.dump(config.to_dict(), f, indent=2, sort_keys=True)
+                json.dump(asdict(config), f, indent=2, sort_keys=True)
                 f.write("\n")
             update_csv = _CsvWriter(os.path.join(out_dir, "metrics.csv"), UPDATE_COLUMNS)
             eval_csv = _CsvWriter(os.path.join(out_dir, "eval.csv"), EVAL_COLUMNS)

@@ -165,6 +165,18 @@ def test_train_bc_and_eval_match_trainer_evaluate(expert_file, tmp_path, capsys)
     assert doc["returns"] == returns
 
 
+def test_train_bc_invalid_config_exit_1_writes_nothing(expert_file, tmp_path, capsys):
+    bc_cfg = tmp_path / "bc.json"
+    bc_cfg.write_text(json.dumps({"env_id": "linereacher-v0", "seed": 2,
+                                  "steps": 0}))
+    out = tmp_path / "bc_run"
+    rc = cli.main(["train-bc", "--config", str(bc_cfg),
+                   "--expert", str(expert_file), "--out", str(out)])
+    assert rc == 1
+    assert "steps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_actor_checkpoint_human_output(expert_file, tmp_path, capsys):
     cfg_path = write_config(tmp_path)
     out = tmp_path / "run_eval"

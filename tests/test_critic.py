@@ -112,33 +112,35 @@ def test_jsd_properties_on_random_pairs():
 
 # --- targets ---
 
+def one_row_target(t1, t2, gamma, done, branch, include_gamma=True):
+    """Branch target for one transition at s' = 0, a' = 0."""
+    base = critic.target_base_batch(t1, t2, np.zeros((1, 2)), np.zeros((1, 1)),
+                                    gamma, [done], include_gamma)
+    return float(critic.branch_target(base, branch, t1.clamp_eps)[0])
+
+
 def test_target_done_expert_branch_is_one_clamped():
     t1, t2 = constant_critic(0.8), constant_critic(0.9)
-    p = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 0.99, True, "expert")
-    assert p == 1.0 - 1e-6
-    p = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 0.99, True, "beta")
-    assert p == 0.5
+    assert one_row_target(t1, t2, 0.99, True, "expert") == 1.0 - 1e-6
+    assert one_row_target(t1, t2, 0.99, True, "beta") == 0.5
 
 
 def test_target_min_and_halving():
     t1, t2 = constant_critic(0.8), constant_critic(0.9)
-    expert = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 1.0, False, "expert")
-    beta = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 1.0, False, "beta")
-    assert expert == pytest.approx(0.8)
-    assert beta == pytest.approx(0.4)
+    assert one_row_target(t1, t2, 1.0, False, "expert") == pytest.approx(0.8)
+    assert one_row_target(t1, t2, 1.0, False, "beta") == pytest.approx(0.4)
 
 
 def test_target_gamma_power():
     t1, t2 = constant_critic(0.8), constant_critic(0.8)
-    p = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 0.99, False, "expert")
+    p = one_row_target(t1, t2, 0.99, False, "expert")
     assert p == pytest.approx(0.8 ** 0.99)
     assert p == pytest.approx(0.8018, abs=5e-5)
 
 
 def test_target_gamma_can_be_excluded():
     t1, t2 = constant_critic(0.8), constant_critic(0.8)
-    p = critic.target_prob(t1, t2, np.zeros(2), np.zeros(1), 0.99, False, "expert",
-                           include_gamma=False)
+    p = one_row_target(t1, t2, 0.99, False, "expert", include_gamma=False)
     assert p == pytest.approx(0.8)
 
 

@@ -28,20 +28,25 @@ def test_push_grows_to_one():
     assert len(buf) == 1
 
 
+def kept_obs(buf):
+    """The set of obs[0] values a large sample draws from buf."""
+    return set(buf.sample_arrays(1000, np.random.default_rng(0)).obs[:, 0])
+
+
 def test_fifo_eviction_order():
     buf = data.ReplayBuffer(2, 2, 1)
     for i in range(3):
         buf.push(make_tr(i))
     assert len(buf) == 2
-    kept = [tr.obs[0] for tr in buf.contents()]
-    assert kept == [1.0, 2.0]  # first push evicted, order oldest-first
+    assert kept_obs(buf) == {1.0, 2.0}  # the first push was evicted
 
 
 def test_fifo_eviction_longer_sequence():
     buf = data.ReplayBuffer(5, 2, 1)
     for i in range(13):
         buf.push(make_tr(i))
-    assert [tr.obs[0] for tr in buf.contents()] == [8.0, 9.0, 10.0, 11.0, 12.0]
+    assert len(buf) == 5
+    assert kept_obs(buf) == {8.0, 9.0, 10.0, 11.0, 12.0}
 
 
 def test_push_dimension_mismatch():
@@ -54,10 +59,11 @@ def test_push_dimension_mismatch():
 def test_sample_single_element_repeats():
     buf = data.ReplayBuffer(10, 2, 1)
     buf.push(make_tr(5))
-    batch = buf.sample(4, np.random.default_rng(0))
+    batch = buf.sample_arrays(4, np.random.default_rng(0))
     assert len(batch) == 4
-    for tr in batch:
-        assert tr.obs[0] == 5.0
+    assert np.array_equal(batch.obs, np.full((4, 2), 5.0))
+    assert np.array_equal(batch.next_obs, np.full((4, 2), 6.0))
+    assert np.array_equal(batch.act, np.full((4, 1), 0.5))
 
 
 def test_sample_reproducible_from_rng_seed():
@@ -73,7 +79,7 @@ def test_sample_reproducible_from_rng_seed():
 def test_sample_empty_buffer_rejected():
     buf = data.ReplayBuffer(10, 2, 1)
     with pytest.raises(ValueError):
-        buf.sample(1, np.random.default_rng(0))
+        buf.sample_arrays(1, np.random.default_rng(0))
 
 
 def test_sample_uniformity_binomial_bound():

@@ -53,25 +53,25 @@ def test_layer_chain_mismatch_rejected():
 
 def test_backward_single_affine_chain_rule():
     p = single_layer([[2.0]], [1.0])
-    grads, input_grad = net.backward(p, np.array([3.0]), np.array([1.0]))
-    assert grads == pytest.approx([3.0, 1.0])   # dW = x, db = 1
-    assert input_grad == pytest.approx([2.0])   # dx = W
+    grads, input_grad = net.backward_batch(p, np.array([[3.0]]), np.array([[1.0]]))
+    assert grads == pytest.approx([3.0, 1.0])     # dW = x, db = 1
+    assert input_grad[0] == pytest.approx([2.0])   # dx = W
 
 
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(2)
     p = net.init_network([3, 8, 2], ["tanh", "sigmoid"], rng)
-    grads, input_grad = net.backward(p, rng.standard_normal(3), np.zeros(2))
+    grads, input_grad = net.backward_batch(p, rng.standard_normal((1, 3)),
+                                           np.zeros((1, 2)))
     assert np.array_equal(grads, np.zeros(p.n_params))
-    assert np.array_equal(input_grad, np.zeros(3))
+    assert np.array_equal(input_grad, np.zeros((1, 3)))
 
 
 def test_backward_matches_finite_differences_two_layer_tanh():
     rng = np.random.default_rng(3)
     p = net.init_network([4, 8, 1], ["tanh", "tanh"], rng)
     x = rng.standard_normal(4)
-    upstream = np.array([1.0])
-    grads, input_grad = net.backward(p, x, upstream)
+    grads, input_grad = net.backward_batch(p, x[None, :], np.array([[1.0]]))
 
     def by_params(flat):
         q = p.copy()
@@ -82,7 +82,7 @@ def test_backward_matches_finite_differences_two_layer_tanh():
         return float(net.forward(p, xv)[0])
 
     assert net.finite_diff_check(by_params, p.get_flat(), grads) < 1e-4
-    assert net.finite_diff_check(by_input, x, input_grad) < 1e-4
+    assert net.finite_diff_check(by_input, x, input_grad[0]) < 1e-4
 
 
 @pytest.mark.parametrize("dims,acts", [
@@ -96,12 +96,12 @@ def test_repo_network_shapes_pass_gradient_check(dims, acts):
         p = net.init_network(dims, acts, rng)
         x = rng.standard_normal(dims[0])
         upstream = rng.standard_normal(dims[-1])
-        grads, input_grad = net.backward(p, x, upstream)
+        grads, input_grad = net.backward_batch(p, x[None, :], upstream[None, :])
 
         def by_input(xv):
             return float(upstream @ net.forward(p, xv))
 
-        assert net.finite_diff_check(by_input, x, input_grad) < 1e-4
+        assert net.finite_diff_check(by_input, x, input_grad[0]) < 1e-4
         # spot-check a slice of parameter coordinates at full batch cost
         flat = p.get_flat()
         idx = rng.integers(0, flat.size, size=60)
@@ -119,18 +119,6 @@ def test_repo_network_shapes_pass_gradient_check(dims, acts):
             numeric = (hi - lo) / 2e-5
             denom = max(abs(numeric), abs(grads[i]), 1e-8)
             assert abs(numeric - grads[i]) / denom < 1e-4
-
-
-def test_batch_backward_sums_over_rows():
-    rng = np.random.default_rng(4)
-    p = net.init_network([3, 8, 2], ["tanh", "identity"], rng)
-    x = rng.standard_normal((5, 3))
-    up = rng.standard_normal((5, 2))
-    flat_batch, gin_batch = net.backward_batch(p, x, up)
-    singles = [net.backward(p, x[i], up[i]) for i in range(5)]
-    assert flat_batch == pytest.approx(sum(s[0] for s in singles))
-    for i in range(5):
-        assert gin_batch[i] == pytest.approx(singles[i][1])
 
 
 def test_flat_view_round_trip():
@@ -165,7 +153,7 @@ def test_adam_zero_gradient_leaves_params_unchanged():
     p = single_layer([[2.0]], [1.0])
     st = net.AdamState.for_params(p.n_params, lr=0.1)
     before = p.get_flat()
-    p, st = net.adam_step(st, p, np.zeros(2))
+    net.adam_step(st, p.flat, np.zeros(2))
     assert np.array_equal(p.get_flat(), before)
     assert st.step_count == 1
 
@@ -175,7 +163,7 @@ def test_adam_first_step_hand_computed():
     # m_hat = v_hat = 1, so the step is lr / (1 + eps) ~ 0.1
     p = single_layer([[0.0]], [0.0])
     st = net.AdamState.for_params(2, lr=0.1)
-    p, st = net.adam_step(st, p, np.array([1.0, 0.0]))
+    net.adam_step(st, p.flat, np.array([1.0, 0.0]))
     assert p.layers[0].weights[0, 0] == pytest.approx(-0.1, abs=1e-6)
     assert p.layers[0].bias[0] == 0.0
 
@@ -184,9 +172,9 @@ def test_adam_two_steps_monotone_descent():
     p = single_layer([[0.0]], [0.0])
     st = net.AdamState.for_params(2, lr=0.05)
     g = np.array([1.0, 0.0])
-    p, st = net.adam_step(st, p, g)
+    net.adam_step(st, p.flat, g)
     w1 = p.layers[0].weights[0, 0]
-    p, st = net.adam_step(st, p, g)
+    net.adam_step(st, p.flat, g)
     w2 = p.layers[0].weights[0, 0]
     assert w1 < 0.0
     assert w2 < w1
@@ -196,7 +184,7 @@ def test_adam_rejects_non_finite_gradients():
     p = single_layer([[0.0]], [0.0])
     st = net.AdamState.for_params(2, lr=0.1)
     with pytest.raises(NonFiniteError):
-        net.adam_step(st, p, np.array([np.nan, 0.0]))
+        net.adam_step(st, p.flat, np.array([np.nan, 0.0]))
 
 
 def test_finite_diff_check_quadratic():
@@ -337,8 +325,7 @@ def test_adam_step_matches_reference_bit_for_bit():
         m_hat = m / (1.0 - b1 ** t)
         v_hat = v / (1.0 - b2 ** t)
         flat = flat - st.lr * m_hat / (np.sqrt(v_hat) + eps)
-        p_out, st_out = net.adam_step(st, p, g)
-        assert p_out is p and st_out is st
+        assert net.adam_step(st, p.flat, g) is None
         assert st.step_count == t
         assert_bits_equal(p.flat, flat)
         assert_bits_equal(st.first_moment, m)

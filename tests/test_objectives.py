@@ -141,3 +141,20 @@ def test_bc_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.log_std, pol.log_std)
     obs = np.array([0.3, 0.3])
     assert np.array_equal(back.eval_action(obs), pol.eval_action(obs))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("steps", 0),
+    ("steps", 2.5),
+    ("batch", 0),
+    ("lr", -1.0),
+    ("lr", 1.5),
+    ("hidden", [0]),
+    ("hidden", 5),
+    ("hidden", [64, 2.5]),
+    ("hidden", [True]),
+])
+def test_bc_config_rejects_invalid_values_at_load(field, value):
+    with pytest.raises(ValueError, match=field):
+        objectives.BCConfig.from_dict({"env_id": "linereacher-v0", "seed": 1,
+                                       field: value})

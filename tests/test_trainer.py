@@ -50,6 +50,7 @@ def test_config_rejects_unknown_keys():
     ("eval_episodes", 0),
     ("max_episodes", 0),
     ("buffer_capacity", 0),
+    ("buffer_capacity", 1e6),
     ("noise_dim", -1),
     ("clamp_eps", 0.0),
     ("clamp_eps", 0.5),
@@ -74,29 +75,42 @@ def test_config_requires_identity():
         trainer.TrainConfig.from_dict({"env_id": "linereacher-v0"})
 
 
-def test_collect_episode_full_horizon_and_done_flags():
-    cfg = small_config()
+class RecordingBuffer(ReplayBuffer):
+    """Replay buffer that also keeps every Transition pushed into it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.pushed = []
+
+    def push(self, tr):
+        self.pushed.append(tr)
+        super().push(tr)
+
+
+def recorded_episode(cfg):
+    """collect_episode's return value and the transitions it pushed."""
     rng = np.random.default_rng(cfg.seed)
     state = trainer.build_learner(cfg, rng)
-    buf = ReplayBuffer(1000, 2, 1)
+    buf = RecordingBuffer(1000, 2, 1)
     t = trainer.collect_episode(cfg.env_id, state.actor, buf, rng, traj_id=1)
+    assert len(buf) == len(buf.pushed)
+    return t, buf.pushed
+
+
+def test_collect_episode_full_horizon_and_done_flags():
+    t, stored = recorded_episode(small_config())
     assert t == 200
-    assert len(buf) == 200
-    stored = buf.contents()
+    assert len(stored) == 200
     assert all(not tr.done for tr in stored[:-1])
     assert stored[-1].done
     assert [tr.t for tr in stored] == list(range(200))
+    assert all(tr.traj_id == 1 for tr in stored)
 
 
 def test_collect_episode_deterministic():
-    cfg = small_config()
-
     def run():
-        rng = np.random.default_rng(cfg.seed)
-        state = trainer.build_learner(cfg, rng)
-        buf = ReplayBuffer(1000, 2, 1)
-        trainer.collect_episode(cfg.env_id, state.actor, buf, rng)
-        return np.concatenate([tr.obs for tr in buf.contents()])
+        _, stored = recorded_episode(small_config())
+        return np.concatenate([np.concatenate([tr.obs, tr.act]) for tr in stored])
 
     assert np.array_equal(run(), run())
 
