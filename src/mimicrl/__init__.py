@@ -17,7 +17,6 @@ from .critic import (
     critic_loss_and_grads,
     load_critic,
     make_critic,
-    q_prob,
     save_critic,
     soft_update,
 )
@@ -25,7 +24,6 @@ from .data import (
     ExpertDataset,
     ReplayBuffer,
     Transition,
-    filter_by_return,
     load_dataset,
     save_dataset,
 )

@@ -59,19 +59,6 @@ def q_batch(critic, sa, want_cache=False):
     return np.clip(raw, eps, 1.0 - eps)
 
 
-def q_prob(critic, obs, act):
-    """q(s, a) = clamp(sigmoid(raw), eps, 1 - eps) for one pair."""
-    obs = np.asarray(obs, dtype=np.float64)
-    act = np.asarray(act, dtype=np.float64)
-    sa = np.concatenate([obs, act])
-    if sa.shape != (critic.params.n_in,):
-        raise DimensionMismatch(
-            f"state-action dim {sa.shape[0]} does not match critic input "
-            f"{critic.params.n_in}"
-        )
-    return float(q_batch(critic, sa[None, :])[0])
-
-
 def bernoulli_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), natural log; exact 0 at p in {0, 1}."""
     p = np.asarray(p, dtype=np.float64)
@@ -200,11 +187,12 @@ def bellman_log_residual(critic, reward_log, transition, next_act, gamma):
     Diagnostic only; reward_log is 0 at the expert optimum and -ln 2 at
     the non-expert optimum.
     """
-    q_sa = q_prob(critic, transition.obs, transition.act)
-    residual = reward_log - np.log(q_sa)
+    def log_q(obs, act):
+        return np.log(q_batch(critic, np.concatenate([obs, act])[None, :])[0])
+
+    residual = reward_log - log_q(transition.obs, transition.act)
     if not transition.done:
-        q_next = q_prob(critic, transition.next_obs, next_act)
-        residual += gamma * np.log(q_next)
+        residual += gamma * log_q(transition.next_obs, next_act)
     return float(residual)
 
 

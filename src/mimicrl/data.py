@@ -14,10 +14,12 @@ and every following line is one transition::
 json round-trips float64 exactly (repr encoding), so save followed by
 load reproduces every value bit for bit.
 
-Rewards are carried by expert datasets for return filtering and
-evaluation only. The replay buffer does not store them at all, and
-training code receives TransitionArrays views, which have no reward
-field, so no update can read a reward.
+Of stored data, only expert datasets keep rewards. The return filter runs
+once, in ``trainer.generate_expert``; ExpertDataset checks that every
+trajectory it holds clears the recorded filter threshold. The replay
+buffer does not store rewards at all, and training code receives
+TransitionArrays views, which have no reward field, so no update can
+read a reward.
 """
 
 from __future__ import annotations
@@ -115,17 +117,12 @@ class ReplayBuffer:
             obs=self._obs[idx],
             act=self._act[idx],
             next_obs=self._next_obs[idx],
-            done=self._done[idx].copy(),
+            done=self._done[idx],
         )
 
 
 def trajectory_return(trajectory):
     return sum(tr.reward for tr in trajectory)
-
-
-def filter_by_return(trajectories, threshold):
-    """Keep exactly the trajectories whose total return is > threshold."""
-    return [traj for traj in trajectories if trajectory_return(traj) > threshold]
 
 
 def group_trajectories(transitions):

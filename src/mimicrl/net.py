@@ -18,6 +18,7 @@ calls.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -409,9 +410,12 @@ def params_from_dict(doc):
 
 
 def save_checkpoint(params, path, extra=None):
-    with open(path, "w", encoding="utf-8") as f:
+    # written aside, then renamed over path: a kill mid-write keeps the old file
+    tmp = f"{os.fspath(path)}.tmp"
+    with open(tmp, "w", encoding="utf-8") as f:
         json.dump(checkpoint_dict(params, extra), f)
         f.write("\n")
+    os.replace(tmp, path)
 
 
 def load_checkpoint(path):

@@ -14,7 +14,7 @@ trainer's TrainConfig.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -111,12 +111,21 @@ def bc_act(policy, obs):
     return np.clip(mu, policy.action_low, policy.action_high)
 
 
+# the type each annotation name stands for (config modules use postponed
+# annotations, so a field's type is its source text); bool is an int
+# subclass, so true and false are checked apart and fit only a bool field
+_JSON_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
+               "str": str, "list": list, "tuple": tuple, "None": type(None)}
+
+
 class JsonConfig:
     """Base for the config dataclasses that the CLI reads from JSON.
 
-    ``from_dict`` rejects unknown keys and requires env_id and seed; each
-    subclass checks its values in ``__post_init__``, so a bad config
-    fails when it is loaded, before a run writes anything.
+    ``from_dict`` rejects unknown keys and requires env_id and seed.
+    ``__post_init__`` checks every value against its field's annotation
+    (``int | None`` also takes null); each subclass then checks ranges
+    in its own ``__post_init__``, so a bad config fails when it is
+    loaded, before a run writes anything.
     """
 
     @classmethod
@@ -128,12 +137,19 @@ class JsonConfig:
             raise ValueError("config requires at least env_id and seed")
         return cls(**doc)
 
+    def __post_init__(self):
+        for f in fields(self):
+            kinds = tuple(_JSON_KINDS[k.strip()] for k in f.type.split("|"))
+            value = getattr(self, f.name)
+            if not isinstance(value, kinds) or (
+                    isinstance(value, bool) and bool not in kinds):
+                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+
     def _require_at_least_one(self, *names):
         for name in names:
             v = getattr(self, name)
-            # a JSON float such as 1e6 would fail later, inside numpy or range
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+            if v < 1:
+                raise ValueError(f"{name} must be >= 1, got {v!r}")
 
     def _require_unit_interval(self, *names):
         for name in names:
@@ -149,14 +165,14 @@ class BCConfig(JsonConfig):
     steps: int = 3000
     lr: float = 1e-3
     batch: int = 128
-    hidden: tuple = (64, 64)
+    hidden: list | tuple = (64, 64)
     log_std_init: float = 0.0
 
     def __post_init__(self):
+        super().__post_init__()
         self._require_at_least_one("steps", "batch")
         self._require_unit_interval("lr")
-        if not isinstance(self.hidden, (list, tuple)) or not all(
-                type(h) is int and h >= 1 for h in self.hidden):
+        if not all(type(h) is int and h >= 1 for h in self.hidden):
             raise ValueError(
                 f"hidden must be a list of positive ints, got {self.hidden!r}")
 

@@ -1,20 +1,21 @@
 """End-to-end training loop: collect, update, evaluate, persist.
 
-Each episode is rolled with the stochastic policy into the replay
-buffer; then exactly as many gradient updates run as the episode had
-steps. One update is, in order: sample an expert and a behavior batch,
-compute next actions with the current policy for the union of next
-states, build clipped-double bootstrap targets, take one Adam step on
+Each episode is rolled by ``envs.rollout`` with the stochastic policy
+into the replay buffer; then exactly as many gradient updates run as
+the episode had steps. One update is, in order: sample an expert and a
+behavior batch, compute next actions with the current policy for the
+union of next states, build clipped-double bootstrap targets, take one Adam step on
 both critics under the JSD loss, take one Adam ascent step on the actor
 through critic 1 on a freshly sampled behavior batch, and softly update
 both target networks.
 
 Everything downstream of the config seed is deterministic: a fixed
 (config, dataset) pair reproduces metrics and checkpoints byte for
-byte. No update reads a reward: the replay buffer does not store one,
-and the trainer sees the expert dataset only through reward-free
-TransitionArrays. Rewards feed only evaluation and expert-data
-filtering.
+byte. Per-update rows are streamed to metrics.csv only; the returned
+RunMetrics keeps the evaluation rows. No update reads a reward: the
+replay buffer does not store one, and the trainer sees the expert
+dataset only through reward-free TransitionArrays. Rewards feed only
+evaluation and expert-data filtering.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from . import actor as actor_mod
 from . import critic as critic_mod
 from . import net
 from .data import ExpertDataset, ReplayBuffer, Transition, save_dataset
-from .envs import env_spec, expert_action, reset, rollout, step
+from .envs import env_spec, expert_action, rollout
 from .errors import ExpertGenerationError, NonFiniteError
 from .objectives import JsonConfig
 
@@ -63,6 +64,7 @@ class TrainConfig(JsonConfig):
     early_stop_return: float | None = None   # stop once an eval reaches this
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         # tau = 0 freezes the targets entirely (soft updates are skipped)
@@ -79,7 +81,6 @@ class TrainConfig(JsonConfig):
 
 @dataclass
 class RunMetrics:
-    update_rows: list = field(default_factory=list)
     eval_rows: list = field(default_factory=list)
 
 
@@ -124,23 +125,21 @@ def build_learner(config, rng):
     )
 
 
+def _transitions(raw, traj_id):
+    """Transitions of one rollout's (obs, act, next_obs, reward, done) tuples."""
+    return [Transition(obs=o, act=a, next_obs=n, done=d, reward=r,
+                       traj_id=traj_id, t=i)
+            for i, (o, a, n, r, d) in enumerate(raw)]
+
+
 def collect_episode(env_id, policy, buffer, rng, traj_id=0):
     """Roll one full episode with sampled noise; push every transition."""
     ep_seed = int(rng.integers(0, 2**63))
-    state, obs = reset(env_id, ep_seed)
-    t = 0
-    done = False
-    while not done:
-        z = actor_mod.sample_noise(rng, policy.noise_dim)
-        action = actor_mod.act(policy, obs, z)
-        state, next_obs, reward, done = step(state, action)
-        buffer.push(Transition(
-            obs=obs, act=action, next_obs=next_obs, done=done,
-            reward=reward, traj_id=traj_id, t=t,
-        ))
-        obs = next_obs
-        t += 1
-    return t
+    raw, _ = rollout(env_id, ep_seed, lambda obs: actor_mod.act(
+        policy, obs, actor_mod.sample_noise(rng, policy.noise_dim)))
+    for tr in _transitions(raw, traj_id):
+        buffer.push(tr)
+    return len(raw)
 
 
 def _compute_targets(state, config, next_obs, done, n_expert, rng):
@@ -161,13 +160,11 @@ def _compute_targets(state, config, next_obs, done, n_expert, rng):
     return expert_targets, beta_targets
 
 
-def update_step(state, expert_views, buffer, config, rng, episode=0,
-                on_targets=None):
+def update_step(state, expert_views, buffer, config, rng, episode=0):
     """One gradient update; returns the metrics row as a dict.
 
     Mutates state in place (parameters, optimizer moments, global_step).
-    on_targets, when given, is called with (expert_targets, beta_targets)
-    right after target computation and before any parameter changes.
+    Targets are computed before any parameter changes.
     """
     n_expert_total = len(expert_views)
     expert_idx = rng.integers(0, n_expert_total, size=config.batch_expert)
@@ -182,8 +179,6 @@ def update_step(state, expert_views, buffer, config, rng, episode=0,
     expert_targets, beta_targets = _compute_targets(
         state, config, union_next, union_done, config.batch_expert, rng,
     )
-    if on_targets is not None:
-        on_targets(expert_targets, beta_targets)
 
     try:
         loss, g1, g2, diag = critic_mod.critic_loss_and_grads(
@@ -268,7 +263,8 @@ def train(config, dataset, out_dir=None, verbose=False):
 
     When out_dir is given, writes config.json up front, appends
     metrics.csv / eval.csv incrementally, and refreshes checkpoints at
-    every evaluation and at the end.
+    every evaluation and at the end. The per-update rows go to
+    metrics.csv only; the result's metrics hold the evaluation rows.
     """
     if dataset.spec.env_id != config.env_id:
         raise ValueError(
@@ -300,7 +296,6 @@ def train(config, dataset, out_dir=None, verbose=False):
             for _ in range(t):
                 row = update_step(state, expert_views, buffer, config, rng,
                                   episode=episode)
-                metrics.update_rows.append(row)
                 if update_csv is not None:
                     update_csv.append(row)
             if episode % config.eval_every == 0 or episode == config.max_episodes:
@@ -355,12 +350,7 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
         attempts += 1
         ep_seed += 1
         if total > threshold:
-            traj_id = len(kept)
-            kept.append([
-                Transition(obs=o, act=a, next_obs=n, done=d, reward=r,
-                           traj_id=traj_id, t=i)
-                for i, (o, a, n, r, d) in enumerate(raw)
-            ])
+            kept.append(_transitions(raw, len(kept)))
     if len(kept) < n_target:
         rate = len(kept) / attempts if attempts else 0.0
         raise ExpertGenerationError(

@@ -141,6 +141,26 @@ def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    ("noise_dim", 1.5),
+    ("noise_dim", True),
+    ("seed", 1.5),
+    ("gamma", "0.9"),
+    ("tau", None),
+    ("early_stop_return", "abc"),
+    ("include_gamma_in_target", "no"),
+])
+def test_train_wrong_value_type_exit_1_writes_nothing(expert_file, tmp_path, capsys,
+                                                      field, value):
+    cfg_path = write_config(tmp_path, **{field: value})
+    out = tmp_path / "x"
+    rc = cli.main(["train", "--config", str(cfg_path),
+                   "--expert", str(expert_file), "--out", str(out)])
+    assert rc == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_bc_and_eval_match_trainer_evaluate(expert_file, tmp_path, capsys):
     bc_cfg = tmp_path / "bc.json"
     bc_cfg.write_text(json.dumps({"env_id": "linereacher-v0", "seed": 2,

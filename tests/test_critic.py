@@ -28,32 +28,36 @@ def random_critic(seed, obs_dim=2, act_dim=1, hidden=(4,)):
     return critic.CriticNet(params, 1e-6)
 
 
-# --- q_prob ---
+# --- q of one pair: a one-row q_batch ---
+
+def q_one(c, obs, act):
+    return float(critic.q_batch(c, np.concatenate([obs, act])[None, :])[0])
+
 
 def test_q_prob_zero_raw_gives_half():
     c = constant_critic(0.5)
     c.params.layers[0].bias[0] = 0.0
-    assert critic.q_prob(c, np.zeros(2), np.zeros(1)) == 0.5
+    assert q_one(c, np.zeros(2), np.zeros(1)) == 0.5
 
 
 def test_q_prob_saturation_is_clamped():
     c = constant_critic(0.5)
     c.params.layers[0].bias[0] = 50.0
-    assert critic.q_prob(c, np.zeros(2), np.zeros(1)) == 1.0 - 1e-6
+    assert q_one(c, np.zeros(2), np.zeros(1)) == 1.0 - 1e-6
     c.params.layers[0].bias[0] = -50.0
-    assert critic.q_prob(c, np.zeros(2), np.zeros(1)) == 1e-6
+    assert q_one(c, np.zeros(2), np.zeros(1)) == 1e-6
 
 
 def test_q_prob_sigmoid_closed_form():
     c = constant_critic(0.5)
     c.params.layers[0].bias[0] = math.log(3.0)
-    assert critic.q_prob(c, np.zeros(2), np.zeros(1)) == pytest.approx(0.75)
+    assert q_one(c, np.zeros(2), np.zeros(1)) == pytest.approx(0.75)
 
 
 def test_q_prob_dimension_mismatch():
     c = constant_critic(0.5)
     with pytest.raises(DimensionMismatch):
-        critic.q_prob(c, np.zeros(3), np.zeros(1))
+        q_one(c, np.zeros(3), np.zeros(1))
 
 
 # --- entropy ---

@@ -175,38 +175,6 @@ def test_missing_key_rejected_with_line(tmp_path):
     assert exc.value.line == 3
 
 
-def synthetic_trajectories(returns, horizon=4):
-    trajs = []
-    for k, total in enumerate(returns):
-        per_step = total / horizon
-        trajs.append([make_tr(i, horizon=horizon, reward=per_step, traj_id=k)
-                      for i in range(horizon)])
-    return trajs
-
-
-def test_filter_threshold_extremes():
-    trajs = synthetic_trajectories([1.0, -2.0, 5.0])
-    assert data.filter_by_return(trajs, float("-inf")) == trajs
-    assert data.filter_by_return(trajs, float("inf")) == []
-
-
-def test_filter_matches_brute_force_sums():
-    rng = np.random.default_rng(11)
-    returns = rng.uniform(-10, 10, size=20)
-    trajs = synthetic_trajectories(list(returns))
-    threshold = 0.0
-    kept = data.filter_by_return(trajs, threshold)
-    expected = [traj for traj, r in zip(trajs, returns)
-                if sum(tr.reward for tr in traj) > threshold]
-    assert kept == expected
-
-
-def test_filter_is_strictly_greater():
-    trajs = synthetic_trajectories([1.0])
-    assert data.filter_by_return(trajs, 1.0 - 1e-12) == trajs
-    assert data.filter_by_return(trajs, sum(tr.reward for tr in trajs[0])) == []
-
-
 def test_dataset_rejects_incomplete_trajectory():
     spec = env_spec("linereacher-v0")
     partial = [make_tr(i, horizon=200, traj_id=0) for i in range(100)]

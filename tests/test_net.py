@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -213,6 +215,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert [l["activation"] for l in doc["layers"]] == ["relu", "tanh"]
     assert doc["layers"][0]["in"] == 3 and doc["layers"][0]["out"] == 8
     assert np.array_equal(p.get_flat(), q.get_flat())
+
+
+def test_checkpoint_write_failure_keeps_previous_bytes(tmp_path, monkeypatch):
+    rng = np.random.default_rng(8)
+    path = tmp_path / "net.ckpt"
+    net.save_checkpoint(net.init_network([3, 8, 2], ["relu", "tanh"], rng), path)
+    before = path.read_bytes()
+
+    def dump_then_fail(doc, f, **kwargs):
+        f.write('{"layers": [{"in": 3, ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        net.save_checkpoint(net.init_network([3, 8, 2], ["relu", "tanh"], rng), path)
+    assert path.read_bytes() == before
 
 
 # Reference engine: the out-of-place formulas the in-place engine must

@@ -153,6 +153,12 @@ def test_bc_checkpoint_round_trip(tmp_path):
     ("hidden", 5),
     ("hidden", [64, 2.5]),
     ("hidden", [True]),
+    ("hidden", "64"),
+    ("seed", 1.5),
+    ("env_id", 5),
+    ("lr", "0.1"),
+    ("log_std_init", None),
+    ("steps", True),
 ])
 def test_bc_config_rejects_invalid_values_at_load(field, value):
     with pytest.raises(ValueError, match=field):

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
 from mimicrl import trainer
 from mimicrl.data import ReplayBuffer, load_dataset
@@ -55,6 +57,13 @@ def test_config_rejects_unknown_keys():
     ("clamp_eps", 0.0),
     ("clamp_eps", 0.5),
     ("clamp_eps", 0.6),
+    ("noise_dim", 1.5),
+    ("noise_dim", True),
+    ("seed", 1.5),
+    ("gamma", "0.9"),
+    ("tau", None),
+    ("early_stop_return", "abc"),
+    ("include_gamma_in_target", "no"),
 ])
 def test_config_rejects_invalid_values_at_load(field, value):
     with pytest.raises(ValueError, match=field):
@@ -68,6 +77,16 @@ def test_config_accepts_boundary_values():
         "eval_every": 1, "eval_episodes": 1, "max_episodes": 1,
         "buffer_capacity": 1, "noise_dim": 0, "clamp_eps": 0.49})
     assert cfg.noise_dim == 0 and cfg.clamp_eps == 0.49
+
+
+def test_config_accepts_ints_for_floats_and_null_for_optionals():
+    cfg = trainer.TrainConfig.from_dict({
+        "env_id": "linereacher-v0", "seed": 1, "gamma": 1, "tau": 0,
+        "early_stop_return": -50, "noise_dim": None})
+    assert cfg.gamma == 1 and cfg.early_stop_return == -50
+    cfg = trainer.TrainConfig.from_dict({
+        "env_id": "linereacher-v0", "seed": 1, "early_stop_return": None})
+    assert cfg.early_stop_return is None
 
 
 def test_config_requires_identity():
@@ -154,40 +173,81 @@ def test_update_step_tau_zero_freezes_targets(dataset):
     assert not np.array_equal(state.critic1.params.get_flat(), t1)
 
 
-def test_update_step_targets_computed_before_critics_change(dataset):
+def test_update_step_targets_computed_before_critics_change(dataset, monkeypatch):
     cfg = small_config()
     state, buf, rng = prepared_state(cfg, dataset)
     c1_before = state.critic1.params.get_flat()
     seen = {}
+    original = trainer._compute_targets
 
-    def hook(expert_targets, beta_targets):
-        # critics have not moved yet when targets are handed out
+    def recording(*args):
+        expert_targets, beta_targets = original(*args)
+        # critics have not moved yet when targets are computed
         assert np.array_equal(state.critic1.params.get_flat(), c1_before)
         seen["expert"] = expert_targets.copy()
         seen["beta"] = beta_targets.copy()
+        return expert_targets, beta_targets
 
-    trainer.update_step(state, dataset.training_arrays(), buf, cfg, rng,
-                        on_targets=hook)
+    monkeypatch.setattr(trainer, "_compute_targets", recording)
+    trainer.update_step(state, dataset.training_arrays(), buf, cfg, rng)
     assert "expert" in seen and "beta" in seen
     assert not np.array_equal(state.critic1.params.get_flat(), c1_before)
     assert np.all(seen["expert"] <= 1.0 - cfg.clamp_eps + 1e-15)
     assert np.all(seen["beta"] <= 0.5 + 1e-15)
 
 
-def test_train_one_episode_yields_exactly_horizon_updates(dataset):
+def test_compute_targets_averages_k_next_samples(dataset):
+    cfg = small_config(k_next_samples=2)
+    state, _, _ = prepared_state(cfg, dataset)
+    n_expert = 3
+    next_obs = np.random.default_rng(4).uniform(-1.0, 1.0, size=(7, 2))
+    done = np.array([False, True, False, False, False, True, False])
+    expert_t, beta_t = trainer._compute_targets(
+        state, cfg, next_obs, done, n_expert, np.random.default_rng(6))
+
+    rng = np.random.default_rng(6)
+    draws = []
+    for _ in range(2):
+        z = rng.standard_normal((7, state.actor.noise_dim))
+        next_act = actor_mod.act_batch(state.actor, next_obs, z)
+        draws.append(critic_mod.target_base_batch(
+            state.target1, state.target2, next_obs, next_act, cfg.gamma, done))
+    assert not np.array_equal(draws[0], draws[1])
+    mean = (draws[0] + draws[1]) / 2
+    eps = cfg.clamp_eps
+    assert np.array_equal(expert_t,
+                          critic_mod.branch_target(mean[:n_expert], "expert", eps))
+    assert np.array_equal(beta_t,
+                          critic_mod.branch_target(mean[n_expert:], "beta", eps))
+
+
+def read_metrics(out_dir):
+    with open(out_dir / "metrics.csv", encoding="utf-8", newline="") as f:
+        return list(csv.DictReader(f))
+
+
+def test_train_with_two_next_samples_has_finite_losses(dataset, tmp_path):
+    cfg = small_config(max_episodes=1, k_next_samples=2)
+    trainer.train(cfg, dataset, out_dir=tmp_path)
+    rows = read_metrics(tmp_path)
+    assert len(rows) == 200
+    assert all(np.isfinite(float(r["critic_loss"])) and np.isfinite(float(r["actor_obj"]))
+               for r in rows)
+
+
+def test_train_one_episode_yields_exactly_horizon_updates(dataset, tmp_path):
     cfg = small_config(max_episodes=1)
-    result = trainer.train(cfg, dataset)
-    assert len(result.metrics.update_rows) == 200
+    result = trainer.train(cfg, dataset, out_dir=tmp_path)
+    rows = read_metrics(tmp_path)
+    assert len(rows) == 200
     assert result.env_steps == 200
-    assert [r["global_step"] for r in result.metrics.update_rows] == \
-        list(range(1, 201))
+    assert [int(r["global_step"]) for r in rows] == list(range(1, 201))
 
 
-def test_update_accounting_matches_episode_lengths(dataset):
+def test_update_accounting_matches_episode_lengths(dataset, tmp_path):
     cfg = small_config(max_episodes=3)
-    result = trainer.train(cfg, dataset)
-    assert len(result.metrics.update_rows) == 3 * 200
-    episodes = [r["episode"] for r in result.metrics.update_rows]
+    trainer.train(cfg, dataset, out_dir=tmp_path)
+    episodes = [int(r["episode"]) for r in read_metrics(tmp_path)]
     assert episodes == [e for e in (1, 2, 3) for _ in range(200)]
 
 
@@ -196,7 +256,6 @@ def test_train_is_bit_identical_across_runs(dataset, tmp_path):
     a = trainer.train(cfg, dataset, out_dir=tmp_path / "a")
     b = trainer.train(cfg, dataset, out_dir=tmp_path / "b")
     assert np.array_equal(a.actor.params.get_flat(), b.actor.params.get_flat())
-    assert a.metrics.update_rows == b.metrics.update_rows
     assert a.metrics.eval_rows == b.metrics.eval_rows
     for name in ("config.json", "metrics.csv", "eval.csv", "actor.ckpt",
                  "critic1.ckpt", "critic2.ckpt"):
@@ -291,6 +350,20 @@ def test_generate_expert_percentile_threshold():
         trajs[tr.traj_id] += tr.reward
     assert all(ret > threshold for ret in trajs.values())
     assert ds.return_stats[1] > threshold
+
+
+def test_generate_expert_threshold_is_strictly_greater():
+    from mimicrl.envs import expert_action, rollout
+    raw, total = rollout("linereacher-v0", 30,
+                         lambda o: expert_action("linereacher-v0", o))
+    # an episode whose return is just above the threshold is kept ...
+    ds = trainer.generate_expert("linereacher-v0", 1, np.nextafter(total, -np.inf),
+                                 seed=30)
+    assert np.array_equal(ds.transitions[0].obs, raw[0][0])
+    # ... and one whose return equals it exactly is not
+    ds = trainer.generate_expert("linereacher-v0", 1, total, seed=30)
+    assert not np.array_equal(ds.transitions[0].obs, raw[0][0])
+    assert ds.return_stats[1] > total
 
 
 def test_generate_expert_round_trips_through_file(tmp_path):
