@@ -23,8 +23,10 @@ y = net.forward(params, x)
 print(f"forward([0.37]) = {y}")
 
 print("\n== gradients vs central finite differences ==")
-# a one-row batch: the gradients of the output at x
-grads, input_grads = net.backward_batch(params, x[None, :], np.array([[1.0]]))
+# a one-row batch: the gradients of the output at x, through the cache of
+# its forward pass (the cache serves one backward pass)
+_, cache = net.forward_batch(params, x[None, :], want_cache=True)
+grads, input_grads = net.backward_batch(params, np.array([[1.0]]), cache)
 
 
 def output_of(flat_params):
@@ -48,7 +50,7 @@ for step_i in range(2001):
     pred, cache = net.forward_batch(params, xs, want_cache=True)
     resid = pred - ys
     loss = float(np.mean(resid ** 2))
-    grad, _ = net.backward_batch(params, xs, 2.0 * resid / len(xs), cache=cache)
+    grad, _ = net.backward_batch(params, 2.0 * resid / len(xs), cache)
     net.adam_step(opt, params.flat, grad)   # in place
     if step_i % 500 == 0:
         print(f"step {step_i:5d}  mse {loss:.6f}")

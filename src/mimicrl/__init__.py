@@ -11,7 +11,6 @@ experts, replay and expert buffers, and a behavior-cloning baseline.
 from .actor import ActorPolicy, act, load_actor, make_actor, policy_gradient, sample_noise, save_actor
 from .critic import (
     CriticNet,
-    bellman_log_residual,
     bernoulli_entropy,
     bernoulli_jsd,
     critic_loss_and_grads,

@@ -38,12 +38,12 @@ class ActorPolicy:
         return act(self, obs, np.zeros(self.noise_dim))
 
 
-def make_actor(spec, rng, noise_dim=None, hidden=(64, 64)):
+def make_actor(spec, rng, noise_dim=None):
     """Fresh actor for an EnvSpec. noise_dim defaults to act_dim."""
     if noise_dim is None:
         noise_dim = spec.act_dim
-    dims = net.mlp_dims(spec.obs_dim + noise_dim, spec.act_dim, hidden)
-    params = net.init_network(dims, net.mlp_activations(len(hidden), "tanh"), rng)
+    dims = net.mlp_dims(spec.obs_dim + noise_dim, spec.act_dim)
+    params = net.init_network(dims, net.mlp_activations(len(dims) - 2, "tanh"), rng)
     center = (np.asarray(spec.action_high) + np.asarray(spec.action_low)) / 2.0
     halfwidth = (np.asarray(spec.action_high) - np.asarray(spec.action_low)) / 2.0
     return ActorPolicy(params, noise_dim, center, halfwidth, spec.env_id)
@@ -99,11 +99,11 @@ def policy_gradient(policy, critic1, states, rng=None, z_batch=None):
 
     # dJ/d(critic output) per sample; zero where the clamp is active
     up_c = (in_range / (n * q))[:, None]
-    d_sa = net.input_grad_batch(critic1.params, sa, up_c, cache=cache_c)
+    d_sa = net.input_grad_batch(critic1.params, up_c, cache_c)
     d_action = d_sa[:, states.shape[1]:]
 
     up_a = d_action * policy.action_halfwidth
-    grad, _ = net.backward_batch(policy.params, x, up_a, cache=cache_a)
+    grad, _ = net.backward_batch(policy.params, up_a, cache_a)
     if not np.all(np.isfinite(grad)) or not np.isfinite(objective):
         raise NonFiniteError("non-finite actor gradient; aborting update")
     return grad, objective

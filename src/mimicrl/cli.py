@@ -24,12 +24,6 @@ from .envs import env_spec
 from .errors import MimicError
 
 
-def _echo_config(doc, path):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
 def _load_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -45,7 +39,7 @@ def cmd_gen_expert(args):
     dataset = trainer.generate_expert(
         args.env, args.n, args.threshold, args.seed, out_path=args.out,
     )
-    _echo_config(
+    objectives.save_config(
         {"command": "gen-expert", "env_id": args.env, "n": args.n,
          "threshold": args.threshold, "seed": args.seed, "out": args.out},
         args.out + ".config.json",
@@ -73,7 +67,7 @@ def cmd_train_bc(args):
     dataset = load_dataset(args.expert)
     policy, history = objectives.train_bc(config, dataset)
     os.makedirs(args.out, exist_ok=True)
-    _echo_config(asdict(config), os.path.join(args.out, "config.json"))
+    objectives.save_config(asdict(config), os.path.join(args.out, "config.json"))
     ckpt = os.path.join(args.out, "bc.ckpt")
     objectives.save_bc_policy(policy, ckpt)
     with open(os.path.join(args.out, "nll_history.csv"), "w", encoding="utf-8") as f:

@@ -35,9 +35,9 @@ class CriticNet:
         return CriticNet(self.params.copy(), self.clamp_eps)
 
 
-def make_critic(spec, rng, clamp_eps=1e-6, hidden=(64, 64)):
-    dims = net.mlp_dims(spec.obs_dim + spec.act_dim, 1, hidden)
-    params = net.init_network(dims, net.mlp_activations(len(hidden), "sigmoid"), rng)
+def make_critic(spec, rng, clamp_eps=1e-6):
+    dims = net.mlp_dims(spec.obs_dim + spec.act_dim, 1)
+    params = net.init_network(dims, net.mlp_activations(len(dims) - 2, "sigmoid"), rng)
     return CriticNet(params, clamp_eps)
 
 
@@ -91,8 +91,7 @@ def _entropy_slope(p):
     return np.log((1.0 - p) / p)
 
 
-def target_base_batch(target1, target2, next_obs, next_act, gamma, done,
-                      include_gamma=True):
+def target_base_batch(target1, target2, next_obs, next_act, gamma, done):
     """Bootstrap factor exp(gamma * min Q') per row; 1 where done.
 
     Uses the minimum of the two target critics (clipped double Q) and
@@ -102,8 +101,7 @@ def target_base_batch(target1, target2, next_obs, next_act, gamma, done,
     sa = np.concatenate([next_obs, next_act], axis=1)
     q1 = q_batch(target1, sa)
     q2 = q_batch(target2, sa)
-    q_min = np.minimum(q1, q2)
-    base = q_min ** gamma if include_gamma else q_min
+    base = np.minimum(q1, q2) ** gamma
     return np.where(np.asarray(done, dtype=bool), 1.0, base)
 
 
@@ -152,7 +150,7 @@ def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targe
         m = 0.5 * (q + targets)
         d_jsd_dp = 0.5 * (_entropy_slope(m) - _entropy_slope(q))
         upstream = (d_jsd_dp * in_range * weights)[:, None]
-        g, _ = net.backward_batch(critic.params, sa, upstream, cache=cache)
+        g, _ = net.backward_batch(critic.params, upstream, cache)
         del cache   # consumed; free it before the next critic's pass
         grads.append(g)
         if i == 0:
@@ -176,24 +174,6 @@ def soft_update(main, target, tau):
     target_flat *= 1.0 - tau
     target_flat += tau * main.params.flat
     return target
-
-
-def bellman_log_residual(critic, reward_log, transition, next_act, gamma):
-    """Single-sample residual of the log-space Bellman equation.
-
-    residual = [reward_log + gamma * log q(s', a') * (not done)]
-               - log q(s, a)
-
-    Diagnostic only; reward_log is 0 at the expert optimum and -ln 2 at
-    the non-expert optimum.
-    """
-    def log_q(obs, act):
-        return np.log(q_batch(critic, np.concatenate([obs, act])[None, :])[0])
-
-    residual = reward_log - log_q(transition.obs, transition.act)
-    if not transition.done:
-        residual += gamma * log_q(transition.next_obs, next_act)
-    return float(residual)
 
 
 def save_critic(critic, path):

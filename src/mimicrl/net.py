@@ -9,14 +9,16 @@ Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
 update path works in place: ``adam_step`` updates a parameter vector
 (that one, or any other such as a BC policy's ``log_std``) and Adam's
-moments in place, the critic's soft update mutates it, and
-``backward_batch`` reuses the activation buffers of the forward cache it
-is given, which it consumes. Nothing here keeps hidden state between
-calls.
+moments in place, and the critic's soft update mutates it. The gradient
+calls take the cache of a ``forward_batch(..., want_cache=True)`` pass
+in place of the input: they read the input from it and reuse its
+activation buffers, so each cache serves one backward pass. Nothing here
+keeps hidden state between calls.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import dataclass, field
@@ -188,8 +190,8 @@ def mlp_dims(n_in, n_out, hidden=(64, 64)):
     return [n_in, *hidden, n_out]
 
 
-def mlp_activations(n_hidden, out_activation, hidden_activation="relu"):
-    return [hidden_activation] * n_hidden + [out_activation]
+def mlp_activations(n_hidden, out_activation):
+    return ["relu"] * n_hidden + [out_activation]
 
 
 def forward_batch(params, x, want_cache=False):
@@ -248,15 +250,22 @@ def forward(params, x):
 def _backprop(params, upstream, cache, grad_views):
     """Backpropagate upstream through a forward cache; returns input grads.
 
-    Writes each layer's dW and db into grad_views (see _layer_views)
-    unless it is None. The gradient into a hidden layer goes through that
-    layer's activation buffer in the cache, so the cache is consumed;
-    the network input and output (the first input and last activation)
-    are only read.
+    upstream is dL/d(output) and must have the output's shape. Writes
+    each layer's dW and db into grad_views (see _layer_views) unless it
+    is None. The gradient into a hidden layer goes through that layer's
+    activation buffer in the cache, so the cache is consumed; the network
+    input and output (the first input and last activation) are only read.
     """
     layers = params.layers
     last = len(layers) - 1
-    d = _activation_grad(layers[last].activation, cache[last][1])
+    out = cache[last][1]
+    upstream = np.asarray(upstream, dtype=np.float64)
+    if upstream.shape != out.shape:
+        raise DimensionMismatch(
+            f"upstream shape {upstream.shape} does not match the output "
+            f"shape {out.shape}"
+        )
+    d = _activation_grad(layers[last].activation, out)
     dz = upstream if d is None else upstream * d
     for i in range(last, -1, -1):
         a_in = cache[i][0]
@@ -273,32 +282,23 @@ def _backprop(params, upstream, cache, grad_views):
             dz *= d
 
 
-def backward_batch(params, x, upstream, cache=None):
-    """Reverse-mode gradients for a batch.
+def backward_batch(params, upstream, cache):
+    """Reverse-mode gradients for a batch, through a forward_batch cache.
 
     upstream is dL/d(output) with shape (batch, n_out). Returns
     (param_grads, input_grads): param_grads is the flat-view gradient
     summed over the batch; input_grads has shape (batch, n_in).
 
-    A cache from forward_batch serves one backward pass: its hidden
-    activation buffers are overwritten with gradients. x, upstream and
-    the network output are left unchanged.
+    The cache serves one backward pass: its hidden activation buffers
+    are overwritten with gradients. The network input, upstream and the
+    network output are left unchanged.
     """
-    x = np.asarray(x, dtype=np.float64)
-    upstream = np.asarray(upstream, dtype=np.float64)
-    if cache is None:
-        _, cache = forward_batch(params, x, want_cache=True)
-    if upstream.shape != (x.shape[0], params.n_out):
-        raise DimensionMismatch(
-            f"upstream shape {upstream.shape} does not match "
-            f"(batch={x.shape[0]}, n_out={params.n_out})"
-        )
     flat = np.empty(params.n_params)
     g = _backprop(params, upstream, cache, params._layer_views(flat))
     return flat, g
 
 
-def input_grad_batch(params, x, upstream, cache):
+def input_grad_batch(params, upstream, cache):
     """Input gradients only (no parameter gradients); consumes the cache."""
     return _backprop(params, upstream, cache, None)
 
@@ -316,8 +316,8 @@ class AdamState:
     eps_adam: float = 1e-8
 
     @classmethod
-    def for_params(cls, n, lr, beta1=0.9, beta2=0.999, eps_adam=1e-8):
-        return cls(np.zeros(n), np.zeros(n), 0, lr, beta1, beta2, eps_adam)
+    def for_params(cls, n, lr):
+        return cls(np.zeros(n), np.zeros(n), 0, lr)
 
 
 def adam_step(state, flat, grads):
@@ -409,13 +409,27 @@ def params_from_dict(doc):
     return NetworkParams(layers)
 
 
-def save_checkpoint(params, path, extra=None):
-    # written aside, then renamed over path: a kill mid-write keeps the old file
+def save_json(doc, path, **dump_kwargs):
+    """Write doc as JSON and a newline to path, atomically.
+
+    The bytes go to ``<path>.tmp``, which is then renamed over path, so a
+    kill mid-write keeps the previous file whole. If the write fails, the
+    partial ``.tmp`` file is removed and the error re-raised.
+    """
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "w", encoding="utf-8") as f:
-        json.dump(checkpoint_dict(params, extra), f)
-        f.write("\n")
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as f:
+            json.dump(doc, f, **dump_kwargs)
+            f.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_checkpoint(params, path, extra=None):
+    save_json(checkpoint_dict(params, extra), path)
 
 
 def load_checkpoint(path):

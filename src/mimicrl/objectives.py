@@ -99,7 +99,7 @@ def bc_nll_and_grads(policy, obs, act):
     if not np.isfinite(nll):
         raise NonFiniteError(f"non-finite BC loss {nll}")
     up_mu = (mu - act) / (std * std) / n
-    g_net, _ = net.backward_batch(policy.mean_net, obs, up_mu, cache=cache)
+    g_net, _ = net.backward_batch(policy.mean_net, up_mu, cache)
     g_log_std = np.mean(1.0 - z * z, axis=0)
     return nll, g_net, g_log_std
 
@@ -113,9 +113,14 @@ def bc_act(policy, obs):
 
 # the type each annotation name stands for (config modules use postponed
 # annotations, so a field's type is its source text); bool is an int
-# subclass, so true and false are checked apart and fit only a bool field
-_JSON_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool,
-               "str": str, "list": list, "tuple": tuple, "None": type(None)}
+# subclass, so true and false are rejected apart: no field takes them
+_JSON_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
+               "list": list, "tuple": tuple, "None": type(None)}
+
+
+def save_config(doc, path):
+    """Echo a resolved config as sorted, indented JSON, atomically."""
+    net.save_json(doc, path, indent=2, sort_keys=True)
 
 
 class JsonConfig:
@@ -141,8 +146,7 @@ class JsonConfig:
         for f in fields(self):
             kinds = tuple(_JSON_KINDS[k.strip()] for k in f.type.split("|"))
             value = getattr(self, f.name)
-            if not isinstance(value, kinds) or (
-                    isinstance(value, bool) and bool not in kinds):
+            if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
     def _require_at_least_one(self, *names):

@@ -32,7 +32,7 @@ from . import net
 from .data import ExpertDataset, ReplayBuffer, Transition, save_dataset
 from .envs import env_spec, expert_action, rollout
 from .errors import ExpertGenerationError, NonFiniteError
-from .objectives import JsonConfig
+from .objectives import JsonConfig, save_config
 
 UPDATE_COLUMNS = ("global_step", "episode", "critic_loss", "actor_obj",
                   "q_mean_expert", "q_mean_beta")
@@ -56,11 +56,9 @@ class TrainConfig(JsonConfig):
     batch_beta: int = 128
     noise_dim: int | None = None        # None resolves to act_dim
     clamp_eps: float = 1e-6
-    k_next_samples: int = 1
     eval_every: int = 10
     eval_episodes: int = 20
     buffer_capacity: int = 1_000_000
-    include_gamma_in_target: bool = True
     early_stop_return: float | None = None   # stop once an eval reaches this
 
     def __post_init__(self):
@@ -70,8 +68,8 @@ class TrainConfig(JsonConfig):
         # tau = 0 freezes the targets entirely (soft updates are skipped)
         self._require_unit_interval("tau", "actor_lr", "critic_lr")
         self._require_at_least_one(
-            "batch_expert", "batch_beta", "max_episodes", "k_next_samples",
-            "eval_every", "eval_episodes", "buffer_capacity")
+            "batch_expert", "batch_beta", "max_episodes", "eval_every",
+            "eval_episodes", "buffer_capacity")
         if self.noise_dim is not None and self.noise_dim < 0:
             raise ValueError(f"noise_dim must be >= 0, got {self.noise_dim}")
         # the clamp interval [clamp_eps, 1 - clamp_eps] must be nonempty
@@ -143,17 +141,14 @@ def collect_episode(env_id, policy, buffer, rng, traj_id=0):
 
 
 def _compute_targets(state, config, next_obs, done, n_expert, rng):
-    """Branch targets for the union batch (expert rows first)."""
-    n = next_obs.shape[0]
-    base = np.zeros(n)
-    for _ in range(config.k_next_samples):
-        z = rng.standard_normal((n, state.actor.noise_dim))
-        next_act = actor_mod.act_batch(state.actor, next_obs, z)
-        base += critic_mod.target_base_batch(
-            state.target1, state.target2, next_obs, next_act,
-            config.gamma, done, config.include_gamma_in_target,
-        )
-    base /= config.k_next_samples
+    """Branch targets for the union batch (expert rows first).
+
+    One next action per row, drawn from the current policy.
+    """
+    z = rng.standard_normal((next_obs.shape[0], state.actor.noise_dim))
+    next_act = actor_mod.act_batch(state.actor, next_obs, z)
+    base = critic_mod.target_base_batch(
+        state.target1, state.target2, next_obs, next_act, config.gamma, done)
     eps = state.critic1.clamp_eps
     expert_targets = critic_mod.branch_target(base[:n_expert], "expert", eps)
     beta_targets = critic_mod.branch_target(base[n_expert:], "beta", eps)
@@ -284,9 +279,7 @@ def train(config, dataset, out_dir=None, verbose=False):
     try:
         if out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
-            with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8") as f:
-                json.dump(asdict(config), f, indent=2, sort_keys=True)
-                f.write("\n")
+            save_config(asdict(config), os.path.join(out_dir, "config.json"))
             update_csv = _CsvWriter(os.path.join(out_dir, "metrics.csv"), UPDATE_COLUMNS)
             eval_csv = _CsvWriter(os.path.join(out_dir, "eval.csv"), EVAL_COLUMNS)
         for episode in range(1, config.max_episodes + 1):

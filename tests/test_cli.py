@@ -122,13 +122,15 @@ def test_train_env_mismatch_exit_1_prints_both_ids(expert_file, tmp_path, capsys
 
 
 def test_train_unknown_config_key_exit_1(expert_file, tmp_path, capsys):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps({"env_id": "linereacher-v0", "seed": 1,
-                                    "bogus_knob": 3}))
-    rc = cli.main(["train", "--config", str(cfg_path),
-                   "--expert", str(expert_file), "--out", str(tmp_path / "x")])
-    assert rc == 1
-    assert "bogus_knob" in capsys.readouterr().err
+    out = tmp_path / "x"
+    for key, value in (("bogus_knob", 3), ("k_next_samples", 1),
+                       ("include_gamma_in_target", True)):
+        cfg_path = write_config(tmp_path, **{key: value})
+        rc = cli.main(["train", "--config", str(cfg_path),
+                       "--expert", str(expert_file), "--out", str(out)])
+        assert rc == 1
+        assert f"unknown config keys: ['{key}']" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
@@ -148,6 +150,7 @@ def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
     ("gamma", "0.9"),
     ("tau", None),
     ("early_stop_return", "abc"),
+    # a key of a removed estimator: refused at load, nothing written
     ("include_gamma_in_target", "no"),
 ])
 def test_train_wrong_value_type_exit_1_writes_nothing(expert_file, tmp_path, capsys,

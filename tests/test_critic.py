@@ -116,10 +116,10 @@ def test_jsd_properties_on_random_pairs():
 
 # --- targets ---
 
-def one_row_target(t1, t2, gamma, done, branch, include_gamma=True):
+def one_row_target(t1, t2, gamma, done, branch):
     """Branch target for one transition at s' = 0, a' = 0."""
     base = critic.target_base_batch(t1, t2, np.zeros((1, 2)), np.zeros((1, 1)),
-                                    gamma, [done], include_gamma)
+                                    gamma, [done])
     return float(critic.branch_target(base, branch, t1.clamp_eps)[0])
 
 
@@ -140,12 +140,6 @@ def test_target_gamma_power():
     p = one_row_target(t1, t2, 0.99, False, "expert")
     assert p == pytest.approx(0.8 ** 0.99)
     assert p == pytest.approx(0.8018, abs=5e-5)
-
-
-def test_target_gamma_can_be_excluded():
-    t1, t2 = constant_critic(0.8), constant_critic(0.8)
-    p = one_row_target(t1, t2, 0.99, False, "expert", include_gamma=False)
-    assert p == pytest.approx(0.8)
 
 
 def test_clipped_double_never_exceeds_single_targets():
@@ -291,12 +285,23 @@ def tr_of(obs, act, next_obs, done=False):
                       next_obs=np.asarray(next_obs, float), done=done, reward=0.0)
 
 
+def log_residual(c, reward_log, tr, next_act, gamma):
+    """reward_log + log(bootstrap factor) - log q(s, a) for one transition.
+
+    The bootstrap factor is the training target's q(s', a')^gamma (1 where
+    done), so the residual is 0 exactly at the log-space Bellman fixed point.
+    """
+    base = critic.target_base_batch(c, c, tr.next_obs[None, :], next_act[None, :],
+                                    gamma, [tr.done])
+    return reward_log + math.log(base[0]) - math.log(q_one(c, tr.obs, tr.act))
+
+
 def test_residual_zero_at_constant_fixed_point():
     gamma, c_val = 0.9, 0.37
     c = constant_critic(c_val)
     reward_log = (1 - gamma) * math.log(c_val)
     tr = tr_of([0.1, 0.2], [0.3], [0.4, 0.5])
-    r = critic.bellman_log_residual(c, reward_log, tr, np.array([0.6]), gamma)
+    r = log_residual(c, reward_log, tr, np.array([0.6]), gamma)
     assert r == pytest.approx(0.0, abs=1e-12)
 
 
@@ -304,7 +309,7 @@ def test_residual_zero_at_expert_optimum():
     c = constant_critic(0.9999990)  # saturates to 1 - clamp_eps
     c.params.layers[0].bias[0] = 50.0
     tr = tr_of([0.0, 0.0], [0.0], [1.0, 1.0])
-    r = critic.bellman_log_residual(c, 0.0, tr, np.zeros(1), 1.0)
+    r = log_residual(c, 0.0, tr, np.zeros(1), 1.0)
     assert r == pytest.approx(0.0, abs=1e-5)
 
 
@@ -314,20 +319,20 @@ def test_residual_zero_at_beta_optimum_with_minus_ln2_reward():
     gamma = 0.5
     c = constant_critic(0.25)
     tr = tr_of([0.1, 0.0], [0.2], [0.3, 0.1])
-    r = critic.bellman_log_residual(c, -LN2, tr, np.array([0.4]), gamma)
+    r = log_residual(c, -LN2, tr, np.array([0.4]), gamma)
     assert r == pytest.approx(0.0, abs=1e-12)
 
 
 def test_residual_done_drops_bootstrap():
     c = constant_critic(0.5)
     tr = tr_of([0.0, 0.0], [0.0], [0.0, 0.0], done=True)
-    r = critic.bellman_log_residual(c, 0.0, tr, np.zeros(1), 0.99)
+    r = log_residual(c, 0.0, tr, np.zeros(1), 0.99)
     assert r == pytest.approx(-math.log(0.5))
 
 
 def test_fixed_point_equivalence_loss_and_residual():
     # when q matches the targets on a transition set, the JSD loss is 0
-    # and the residual with the corresponding optimal reward is 0 too
+    # and so is the log-space Bellman residual log(target) - log q(s, a)
     gamma = 1.0
     c = constant_critic(1.0 - 1e-6)   # expert optimum everywhere
     transitions = [tr_of([i, 0.0], [0.1], [i + 1.0, 0.0]) for i in range(3)]
@@ -336,13 +341,11 @@ def test_fixed_point_equivalence_loss_and_residual():
     nxt = np.array([t.next_obs for t in transitions])
     base = critic.target_base_batch(c, c, nxt, act, gamma, np.zeros(3, bool))
     e_t = critic.branch_target(base, "expert", 1e-6)
+    q = critic.q_batch(c, np.concatenate([obs, act], axis=1))
     loss, g1, g2, _ = critic.critic_loss_and_grads(
-        c, c.copy(), obs, act, e_t, obs, act,
-        critic.q_batch(c, np.concatenate([obs, act], axis=1)))
+        c, c.copy(), obs, act, e_t, obs, act, q)
     assert loss < 1e-10
-    for t in transitions:
-        r = critic.bellman_log_residual(c, 0.0, t, t.act, gamma)
-        assert abs(r) < 1e-10
+    assert np.all(np.abs(np.log(e_t) - np.log(q)) < 1e-10)
 
 
 def test_critic_checkpoint_round_trip(tmp_path):

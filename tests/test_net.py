@@ -45,6 +45,16 @@ def test_forward_dimension_mismatch():
         net.forward(p, np.array([1.0, 2.0]))
 
 
+def test_gradient_upstream_dimension_mismatch():
+    # the gradient calls take an upstream of the output's (n, 1) shape only
+    p = single_layer([[2.0]], [1.0])
+    for upstream in (np.ones(3), np.ones((3, 2))):
+        for grad_call in (net.backward_batch, net.input_grad_batch):
+            _, cache = net.forward_batch(p, np.ones((3, 1)), want_cache=True)
+            with pytest.raises(DimensionMismatch):
+                grad_call(p, upstream, cache)
+
+
 def test_layer_chain_mismatch_rejected():
     with pytest.raises(DimensionMismatch):
         net.NetworkParams([
@@ -53,9 +63,15 @@ def test_layer_chain_mismatch_rejected():
         ])
 
 
+def backward_at(p, x, upstream):
+    """backward_batch through a fresh forward cache of the batch x."""
+    _, cache = net.forward_batch(p, x, want_cache=True)
+    return net.backward_batch(p, upstream, cache)
+
+
 def test_backward_single_affine_chain_rule():
     p = single_layer([[2.0]], [1.0])
-    grads, input_grad = net.backward_batch(p, np.array([[3.0]]), np.array([[1.0]]))
+    grads, input_grad = backward_at(p, np.array([[3.0]]), np.array([[1.0]]))
     assert grads == pytest.approx([3.0, 1.0])     # dW = x, db = 1
     assert input_grad[0] == pytest.approx([2.0])   # dx = W
 
@@ -63,8 +79,7 @@ def test_backward_single_affine_chain_rule():
 def test_backward_zero_upstream_gives_zero_grads():
     rng = np.random.default_rng(2)
     p = net.init_network([3, 8, 2], ["tanh", "sigmoid"], rng)
-    grads, input_grad = net.backward_batch(p, rng.standard_normal((1, 3)),
-                                           np.zeros((1, 2)))
+    grads, input_grad = backward_at(p, rng.standard_normal((1, 3)), np.zeros((1, 2)))
     assert np.array_equal(grads, np.zeros(p.n_params))
     assert np.array_equal(input_grad, np.zeros((1, 3)))
 
@@ -73,7 +88,7 @@ def test_backward_matches_finite_differences_two_layer_tanh():
     rng = np.random.default_rng(3)
     p = net.init_network([4, 8, 1], ["tanh", "tanh"], rng)
     x = rng.standard_normal(4)
-    grads, input_grad = net.backward_batch(p, x[None, :], np.array([[1.0]]))
+    grads, input_grad = backward_at(p, x[None, :], np.array([[1.0]]))
 
     def by_params(flat):
         q = p.copy()
@@ -98,7 +113,7 @@ def test_repo_network_shapes_pass_gradient_check(dims, acts):
         p = net.init_network(dims, acts, rng)
         x = rng.standard_normal(dims[0])
         upstream = rng.standard_normal(dims[-1])
-        grads, input_grad = net.backward_batch(p, x[None, :], upstream[None, :])
+        grads, input_grad = backward_at(p, x[None, :], upstream[None, :])
 
         def by_input(xv):
             return float(upstream @ net.forward(p, xv))
@@ -231,6 +246,7 @@ def test_checkpoint_write_failure_keeps_previous_bytes(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         net.save_checkpoint(net.init_network([3, 8, 2], ["relu", "tanh"], rng), path)
     assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["net.ckpt"]
 
 
 # Reference engine: the out-of-place formulas the in-place engine must
@@ -312,7 +328,7 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
         assert_bits_equal(net.forward_batch(p, row), ref_row)
 
     x_before, up_before, out_before = x.copy(), upstream.copy(), out.copy()
-    grads, gin = net.backward_batch(p, x, upstream, cache=cache)
+    grads, gin = net.backward_batch(p, upstream, cache)
     assert_bits_equal(grads, ref_grads)
     assert_bits_equal(gin, ref_gin)
     # the cache is consumed, but the caller's arrays are only read
@@ -320,11 +336,8 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
     assert_bits_equal(upstream, up_before)
     assert_bits_equal(out, out_before)
 
-    grads_nc, gin_nc = net.backward_batch(p, x, upstream)
-    assert_bits_equal(grads_nc, ref_grads)
-    assert_bits_equal(gin_nc, ref_gin)
     _, cache = net.forward_batch(p, x, want_cache=True)
-    assert_bits_equal(net.input_grad_batch(p, x, upstream, cache), ref_gin)
+    assert_bits_equal(net.input_grad_batch(p, upstream, cache), ref_gin)
 
 
 def test_adam_step_matches_reference_bit_for_bit():

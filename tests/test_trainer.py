@@ -4,7 +4,6 @@ import json
 import numpy as np
 import pytest
 
-from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
 from mimicrl import trainer
 from mimicrl.data import ReplayBuffer, load_dataset
@@ -34,19 +33,22 @@ def test_config_defaults_match_documented_values():
     assert cfg.batch_expert == 128 and cfg.batch_beta == 128
     assert cfg.noise_dim is None
     assert cfg.clamp_eps == 1e-6
-    assert cfg.k_next_samples == 1
     assert cfg.eval_every == 10 and cfg.eval_episodes == 20
     assert cfg.buffer_capacity == 1_000_000
-    assert cfg.include_gamma_in_target is True
 
 
 def test_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config keys"):
-        trainer.TrainConfig.from_dict({"env_id": "linereacher-v0", "seed": 1,
-                                       "learning_rate": 0.1})
+    # the bootstrap target has one form (one next-action draw, gamma always
+    # applied), so no key selects another estimator
+    for key, value in (("learning_rate", 0.1), ("k_next_samples", 1),
+                       ("include_gamma_in_target", True)):
+        with pytest.raises(ValueError, match=f"unknown config keys: \\['{key}'\\]"):
+            trainer.TrainConfig.from_dict({"env_id": "linereacher-v0", "seed": 1,
+                                           key: value})
 
 
 @pytest.mark.parametrize("field,value", [
+    # keys of removed estimators: an old config naming one is refused at load
     ("k_next_samples", 0),
     ("eval_every", 0),
     ("eval_episodes", 0),
@@ -73,9 +75,8 @@ def test_config_rejects_invalid_values_at_load(field, value):
 
 def test_config_accepts_boundary_values():
     cfg = trainer.TrainConfig.from_dict({
-        "env_id": "linereacher-v0", "seed": 1, "k_next_samples": 1,
-        "eval_every": 1, "eval_episodes": 1, "max_episodes": 1,
-        "buffer_capacity": 1, "noise_dim": 0, "clamp_eps": 0.49})
+        "env_id": "linereacher-v0", "seed": 1, "eval_every": 1,
+        "eval_episodes": 1, "max_episodes": 1, "buffer_capacity": 1, "noise_dim": 0, "clamp_eps": 0.49})
     assert cfg.noise_dim == 0 and cfg.clamp_eps == 0.49
 
 
@@ -196,43 +197,9 @@ def test_update_step_targets_computed_before_critics_change(dataset, monkeypatch
     assert np.all(seen["beta"] <= 0.5 + 1e-15)
 
 
-def test_compute_targets_averages_k_next_samples(dataset):
-    cfg = small_config(k_next_samples=2)
-    state, _, _ = prepared_state(cfg, dataset)
-    n_expert = 3
-    next_obs = np.random.default_rng(4).uniform(-1.0, 1.0, size=(7, 2))
-    done = np.array([False, True, False, False, False, True, False])
-    expert_t, beta_t = trainer._compute_targets(
-        state, cfg, next_obs, done, n_expert, np.random.default_rng(6))
-
-    rng = np.random.default_rng(6)
-    draws = []
-    for _ in range(2):
-        z = rng.standard_normal((7, state.actor.noise_dim))
-        next_act = actor_mod.act_batch(state.actor, next_obs, z)
-        draws.append(critic_mod.target_base_batch(
-            state.target1, state.target2, next_obs, next_act, cfg.gamma, done))
-    assert not np.array_equal(draws[0], draws[1])
-    mean = (draws[0] + draws[1]) / 2
-    eps = cfg.clamp_eps
-    assert np.array_equal(expert_t,
-                          critic_mod.branch_target(mean[:n_expert], "expert", eps))
-    assert np.array_equal(beta_t,
-                          critic_mod.branch_target(mean[n_expert:], "beta", eps))
-
-
 def read_metrics(out_dir):
     with open(out_dir / "metrics.csv", encoding="utf-8", newline="") as f:
         return list(csv.DictReader(f))
-
-
-def test_train_with_two_next_samples_has_finite_losses(dataset, tmp_path):
-    cfg = small_config(max_episodes=1, k_next_samples=2)
-    trainer.train(cfg, dataset, out_dir=tmp_path)
-    rows = read_metrics(tmp_path)
-    assert len(rows) == 200
-    assert all(np.isfinite(float(r["critic_loss"])) and np.isfinite(float(r["actor_obj"]))
-               for r in rows)
 
 
 def test_train_one_episode_yields_exactly_horizon_updates(dataset, tmp_path):
@@ -261,6 +228,17 @@ def test_train_is_bit_identical_across_runs(dataset, tmp_path):
                  "critic1.ckpt", "critic2.ckpt"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes()
+
+
+def test_config_write_failure_leaves_no_partial_file(dataset, tmp_path, monkeypatch):
+    def dump_then_fail(doc, f, **kwargs):
+        f.write('{\n  "actor_lr": ')
+        raise OSError("disk full")
+
+    monkeypatch.setattr(json, "dump", dump_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        trainer.train(small_config(), dataset, out_dir=tmp_path / "run")
+    assert list((tmp_path / "run").iterdir()) == []
 
 
 def test_train_rejects_env_mismatch(dataset):
