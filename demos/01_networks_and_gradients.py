@@ -24,9 +24,12 @@ print(f"forward([0.37]) = {y}")
 
 print("\n== gradients vs central finite differences ==")
 # a one-row batch: the gradients of the output at x, through the cache of
-# its forward pass (the cache serves one backward pass)
+# its forward pass (the cache serves one backward pass, so the input
+# gradients take a second forward pass)
 _, cache = net.forward_batch(params, x[None, :], want_cache=True)
-grads, input_grads = net.backward_batch(params, np.array([[1.0]]), cache)
+grads = net.backward_batch(params, np.array([[1.0]]), cache)
+_, cache = net.forward_batch(params, x[None, :], want_cache=True)
+input_grads = net.input_grad_batch(params, np.array([[1.0]]), cache)
 
 
 def output_of(flat_params):
@@ -50,7 +53,7 @@ for step_i in range(2001):
     pred, cache = net.forward_batch(params, xs, want_cache=True)
     resid = pred - ys
     loss = float(np.mean(resid ** 2))
-    grad, _ = net.backward_batch(params, 2.0 * resid / len(xs), cache)
+    grad = net.backward_batch(params, 2.0 * resid / len(xs), cache)
     net.adam_step(opt, params.flat, grad)   # in place
     if step_i % 500 == 0:
         print(f"step {step_i:5d}  mse {loss:.6f}")

@@ -95,7 +95,7 @@ def policy_gradient(policy, critic1, states, rng=None, z_batch=None):
 
     sa = np.concatenate([states, actions], axis=1)
     q, cache_c, in_range = critic_mod.q_batch(critic1, sa, want_cache=True)
-    objective = float(np.mean(np.log(q)))
+    objective = float(np.add.reduce(np.log(q)) / n)
 
     # dJ/d(critic output) per sample; zero where the clamp is active
     up_c = (in_range / (n * q))[:, None]
@@ -103,8 +103,8 @@ def policy_gradient(policy, critic1, states, rng=None, z_batch=None):
     d_action = d_sa[:, states.shape[1]:]
 
     up_a = d_action * policy.action_halfwidth
-    grad, _ = net.backward_batch(policy.params, up_a, cache_a)
-    if not np.all(np.isfinite(grad)) or not np.isfinite(objective):
+    grad = net.backward_batch(policy.params, up_a, cache_a)
+    if not np.isfinite(grad).all() or not np.isfinite(objective):
         raise NonFiniteError("non-finite actor gradient; aborting update")
     return grad, objective
 

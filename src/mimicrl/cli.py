@@ -17,7 +17,7 @@ import os
 import sys
 from dataclasses import asdict
 
-from . import objectives, trainer
+from . import net, objectives, trainer
 from .actor import load_actor
 from .data import load_dataset
 from .envs import env_spec
@@ -70,10 +70,8 @@ def cmd_train_bc(args):
     objectives.save_config(asdict(config), os.path.join(args.out, "config.json"))
     ckpt = os.path.join(args.out, "bc.ckpt")
     objectives.save_bc_policy(policy, ckpt)
-    with open(os.path.join(args.out, "nll_history.csv"), "w", encoding="utf-8") as f:
-        f.write("step,nll\n")
-        for step_i, nll in history:
-            f.write(f"{step_i},{nll!r}\n")
+    lines = ["step,nll\n"] + [f"{step_i},{nll!r}\n" for step_i, nll in history]
+    net.save_text("".join(lines), os.path.join(args.out, "nll_history.csv"))
     print(f"wrote {ckpt}: final nll {history[-1][1]:.6f}")
     return 0
 

@@ -18,6 +18,7 @@ array) probability of the expert outcome, kept in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,11 +53,15 @@ def q_batch(critic, sa, want_cache=False):
     if want_cache:
         out, cache = net.forward_batch(critic.params, sa, want_cache=True)
         raw = out[:, 0]
-        q = np.clip(raw, eps, 1.0 - eps)
+    else:
+        raw = net.forward_batch(critic.params, sa)[:, 0]
+    # the clip, as two passes that skip np.clip's dispatch
+    q = np.maximum(raw, eps)
+    np.minimum(q, 1.0 - eps, out=q)
+    if want_cache:
         in_range = ((raw > eps) & (raw < 1.0 - eps)).astype(np.float64)
         return q, cache, in_range
-    raw = net.forward_batch(critic.params, sa)[:, 0]
-    return np.clip(raw, eps, 1.0 - eps)
+    return q
 
 
 def bernoulli_entropy(p):
@@ -84,6 +89,12 @@ def bernoulli_jsd(a, b):
     if np.ndim(out) == 0:
         return float(out)
     return out
+
+
+def _interior_entropy(p):
+    # bernoulli_entropy for p strictly inside (0, 1), where every term is
+    # finite: the same operations, without the guards for p in {0, 1}
+    return -(p * np.log(p) + (1.0 - p) * np.log1p(-p))
 
 
 def _entropy_slope(p):
@@ -119,6 +130,14 @@ def branch_target(base, branch, clamp_eps):
     return np.clip(scaled, clamp_eps, 1.0 - clamp_eps)
 
 
+@functools.lru_cache(maxsize=8)
+def _row_weights(n_e, n_b):
+    """Per-row weights 1/n_e then 1/n_b, built once per batch shape."""
+    weights = np.concatenate([np.full(n_e, 1.0 / n_e), np.full(n_b, 1.0 / n_b)])
+    weights.flags.writeable = False
+    return weights
+
+
 def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targets,
                           beta_obs, beta_act, beta_targets):
     """JSD Bellman loss over both critics, with exact gradients.
@@ -127,8 +146,9 @@ def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targe
         mean_expert JSD(q(s,a) || expert_target)
       + mean_beta   JSD(q(s,a) || beta_target)
 
-    Targets enter as constants. Returns (loss, grads1, grads2, diag)
-    where diag holds q_mean_expert / q_mean_beta from critic 1.
+    Targets enter as constants and lie in [0, 1]. Returns (loss, grads1,
+    grads2, diag) where diag holds q_mean_expert / q_mean_beta from
+    critic 1.
     """
     n_e = expert_obs.shape[0]
     n_b = beta_obs.shape[0]
@@ -139,23 +159,25 @@ def critic_loss_and_grads(critic1, critic2, expert_obs, expert_act, expert_targe
         np.concatenate([beta_obs, beta_act], axis=1),
     ], axis=0)
     targets = np.concatenate([expert_targets, beta_targets])
-    weights = np.concatenate([np.full(n_e, 1.0 / n_e), np.full(n_b, 1.0 / n_b)])
+    weights = _row_weights(n_e, n_b)
+    h_targets = bernoulli_entropy(targets)   # shared by both critics
     loss = 0.0
     grads = []
     diag = {}
     for i, critic in enumerate((critic1, critic2)):
         q, cache, in_range = q_batch(critic, sa, want_cache=True)
-        jsd = bernoulli_jsd(q, targets)
-        loss += float(jsd @ weights)
+        # bernoulli_jsd(q, targets): q is clamped, and m lies between q
+        # and a target, so both are strictly inside (0, 1)
         m = 0.5 * (q + targets)
+        jsd = _interior_entropy(m) - 0.5 * (_interior_entropy(q) + h_targets)
+        loss += float(jsd @ weights)
         d_jsd_dp = 0.5 * (_entropy_slope(m) - _entropy_slope(q))
         upstream = (d_jsd_dp * in_range * weights)[:, None]
-        g, _ = net.backward_batch(critic.params, upstream, cache)
+        grads.append(net.backward_batch(critic.params, upstream, cache))
         del cache   # consumed; free it before the next critic's pass
-        grads.append(g)
         if i == 0:
-            diag["q_mean_expert"] = float(np.mean(q[:n_e]))
-            diag["q_mean_beta"] = float(np.mean(q[n_e:]))
+            diag["q_mean_expert"] = float(np.add.reduce(q[:n_e]) / n_e)
+            diag["q_mean_beta"] = float(np.add.reduce(q[n_e:]) / n_b)
     if not np.isfinite(loss):
         raise NonFiniteError(f"non-finite critic loss {loss}; aborting update")
     return loss, grads[0], grads[1], diag

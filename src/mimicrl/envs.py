@@ -9,6 +9,13 @@ Dynamics are pure functions of (state, action); a full trajectory
 replays bit-identically from (seed, action sequence). Rewards exist
 only for evaluation and expert filtering — the imitation learner never
 reads them.
+
+``step`` and ``expert_action`` run once per env step, so they unpack
+their arrays into Python floats and do the scalar maths on those: the
+IEEE operations are the same as on numpy scalars, without numpy's
+per-operation dispatch. Actions are checked against per-env float
+bounds cached at import; a NaN component is rejected like any other
+out-of-bounds action.
 """
 
 from __future__ import annotations
@@ -71,6 +78,12 @@ _MAX_VEL = 2.0
 
 ENV_IDS = tuple(sorted(_SPECS))
 
+# per-env (low, high) bounds of each action component, as Python floats
+_ACTION_BOUNDS = {
+    env_id: tuple(zip(spec.action_low.tolist(), spec.action_high.tolist()))
+    for env_id, spec in _SPECS.items()
+}
+
 
 def env_spec(env_id):
     try:
@@ -89,11 +102,11 @@ def wrap_angle(theta):
     return w
 
 
-def _observe(env_id, phys):
+def _observe(env_id, p0, p1):
+    """Observation of the physical coordinates (p0, p1), as a new array."""
     if env_id == "linereacher-v0":
-        return phys.copy()
-    theta, theta_dot = phys
-    return np.array([math.cos(theta), math.sin(theta), theta_dot])
+        return np.array([p0, p1])
+    return np.array([math.cos(p0), math.sin(p0), p1])
 
 
 def reset(env_id, seed):
@@ -101,63 +114,69 @@ def reset(env_id, seed):
     spec = env_spec(env_id)
     rng = np.random.default_rng(seed)
     if env_id == "linereacher-v0":
-        x = rng.uniform(-1.5, -0.5)
-        phys = np.array([x, 0.0])
+        p0 = rng.uniform(-1.5, -0.5)
+        p1 = 0.0
     else:
-        theta = rng.uniform(-math.pi, math.pi)
-        theta_dot = rng.uniform(-1.0, 1.0)
-        phys = np.array([theta, theta_dot])
-    state = EnvState(env_id=spec.env_id, phys=phys, step_index=0)
-    return state, _observe(env_id, phys)
+        p0 = rng.uniform(-math.pi, math.pi)
+        p1 = rng.uniform(-1.0, 1.0)
+    state = EnvState(env_id=spec.env_id, phys=np.array([p0, p1]), step_index=0)
+    return state, _observe(env_id, p0, p1)
 
 
 def _check_action(spec, action):
+    """The action's components as Python floats, once shape and bounds hold.
+
+    Each component must lie in its closed [low, high] interval; NaN lies
+    in none, so it is rejected too.
+    """
     action = np.asarray(action, dtype=np.float64)
     if action.shape != (spec.act_dim,):
         raise ActionBoundsError(
             f"action shape {action.shape} does not match act_dim {spec.act_dim}"
         )
-    if np.any(action < spec.action_low) or np.any(action > spec.action_high):
-        raise ActionBoundsError(
-            f"action {action} outside bounds [{spec.action_low}, {spec.action_high}]"
-        )
-    return action
+    values = action.tolist()
+    for a, (low, high) in zip(values, _ACTION_BOUNDS[spec.env_id]):
+        if not low <= a <= high:
+            raise ActionBoundsError(
+                f"action {action} outside bounds [{spec.action_low}, {spec.action_high}]"
+            )
+    return values
 
 
 def step(state, action):
     """Advance one step: (next_state, observation, reward, done).
 
-    The reward is evaluation-only. Raises on out-of-bounds actions and
-    on stepping a finished episode; nothing is clipped silently.
+    The reward is evaluation-only. Raises on out-of-bounds actions (NaN
+    included) and on stepping a finished episode; nothing is clipped
+    silently.
     """
     spec = env_spec(state.env_id)
     if state.step_index >= spec.horizon:
         raise EpisodeFinished(
             f"episode already finished at step {state.step_index}/{spec.horizon}"
         )
-    action = _check_action(spec, action)
+    a = _check_action(spec, action)[0]
     if state.env_id == "linereacher-v0":
-        x, v = state.phys
-        a = action[0]
+        x, v = state.phys.tolist()
         reward = -(x * x + 0.1 * v * v + 0.001 * a * a)
         x_new = x + v * spec.dt
         v_new = min(max(v + a * spec.dt, -_MAX_VEL), _MAX_VEL)
-        phys = np.array([x_new, v_new])
+        p0, p1 = x_new, v_new
     else:
-        theta, theta_dot = state.phys
-        u = action[0]
-        theta_acc = (3.0 * _G / (2.0 * _L)) * math.sin(theta) + (3.0 / (_M * _L * _L)) * u
+        theta, theta_dot = state.phys.tolist()
+        theta_acc = (3.0 * _G / (2.0 * _L)) * math.sin(theta) + (3.0 / (_M * _L * _L)) * a
         theta_dot_new = min(max(theta_dot + theta_acc * spec.dt, -_MAX_SPEED), _MAX_SPEED)
         theta_new = theta + theta_dot_new * spec.dt
         reward = -(
             wrap_angle(theta_new) ** 2
             + 0.1 * theta_dot_new * theta_dot_new
-            + 0.001 * u * u
+            + 0.001 * a * a
         )
-        phys = np.array([theta_new, theta_dot_new])
-    nxt = EnvState(env_id=state.env_id, phys=phys, step_index=state.step_index + 1)
+        p0, p1 = theta_new, theta_dot_new
+    nxt = EnvState(env_id=state.env_id, phys=np.array([p0, p1]),
+                   step_index=state.step_index + 1)
     done = nxt.step_index == spec.horizon
-    return nxt, _observe(state.env_id, phys), float(reward), done
+    return nxt, _observe(state.env_id, p0, p1), reward, done
 
 
 def expert_action(env_id, observation):
@@ -169,10 +188,10 @@ def expert_action(env_id, observation):
             f"observation shape {obs.shape} does not match obs_dim {spec.obs_dim}"
         )
     if env_id == "linereacher-v0":
-        x, v = obs
+        x, v = obs.tolist()
         a = -4.0 * x - 3.0 * v
         return np.array([min(max(a, -1.0), 1.0)])
-    cos_t, sin_t, theta_dot = obs
+    cos_t, sin_t, theta_dot = obs.tolist()
     theta = wrap_angle(math.atan2(sin_t, cos_t))
     scale = 3.0 * _G / (2.0 * _L)
     if abs(theta) < 0.3 and abs(theta_dot) < 2.0:

@@ -2,7 +2,8 @@
 
 Provides exactly what the rest of the library needs and nothing more:
 layered affine+activation networks, reverse-mode gradients with respect
-to both parameters and inputs, a bias-corrected Adam optimizer, a
+to the parameters (``backward_batch``) or to the inputs
+(``input_grad_batch``), a bias-corrected Adam optimizer, a
 central-difference gradient checker, and a JSON checkpoint format.
 
 Each network stores its parameters in one contiguous float64 vector
@@ -248,13 +249,14 @@ def forward(params, x):
 
 
 def _backprop(params, upstream, cache, grad_views):
-    """Backpropagate upstream through a forward cache; returns input grads.
+    """Backpropagate upstream through a forward cache.
 
-    upstream is dL/d(output) and must have the output's shape. Writes
-    each layer's dW and db into grad_views (see _layer_views) unless it
-    is None. The gradient into a hidden layer goes through that layer's
-    activation buffer in the cache, so the cache is consumed; the network
-    input and output (the first input and last activation) are only read.
+    upstream is dL/d(output) and must have the output's shape. With
+    grad_views (see _layer_views), writes each layer's dW and db into
+    them and returns None; with None, returns the input gradients. The
+    gradient into a hidden layer goes through that layer's activation
+    buffer in the cache, so the cache is consumed; the network input and
+    output (the first input and last activation) are only read.
     """
     layers = params.layers
     last = len(layers) - 1
@@ -272,30 +274,39 @@ def _backprop(params, upstream, cache, grad_views):
         if grad_views is not None:
             gw, gb = grad_views[i]
             np.matmul(dz.T, a_in, out=gw)
-            np.sum(dz, axis=0, out=gb)
+            np.add.reduce(dz, axis=0, out=gb)
         if i == 0:
-            return dz @ layers[0].weights
+            # one more matmul, paid only when the input gradient is wanted
+            return dz @ layers[0].weights if grad_views is None else None
         # the mask must be read from a_in before a_in receives the gradient
         d = _activation_grad(layers[i - 1].activation, a_in)
-        dz = np.matmul(dz, layers[i].weights, out=a_in)
+        w = layers[i].weights
+        if w.shape[0] == 1:
+            # dz @ w has one inner term here (an outer product), so the
+            # faster broadcast product matches it up to the sign of exact
+            # zeros, which the gradient sums drop (they start from +0)
+            dz = np.multiply(dz, w, out=a_in)
+        else:
+            dz = np.matmul(dz, w, out=a_in)
         if d is not None:
             dz *= d
 
 
 def backward_batch(params, upstream, cache):
-    """Reverse-mode gradients for a batch, through a forward_batch cache.
+    """Parameter gradients for a batch, through a forward_batch cache.
 
-    upstream is dL/d(output) with shape (batch, n_out). Returns
-    (param_grads, input_grads): param_grads is the flat-view gradient
-    summed over the batch; input_grads has shape (batch, n_in).
+    upstream is dL/d(output) with shape (batch, n_out). Returns the
+    flat-view parameter gradient summed over the batch. The gradient
+    with respect to the input is not formed (that would take one more
+    matmul); ``input_grad_batch`` is the call for it.
 
     The cache serves one backward pass: its hidden activation buffers
     are overwritten with gradients. The network input, upstream and the
     network output are left unchanged.
     """
     flat = np.empty(params.n_params)
-    g = _backprop(params, upstream, cache, params._layer_views(flat))
-    return flat, g
+    _backprop(params, upstream, cache, params._layer_views(flat))
+    return flat
 
 
 def input_grad_batch(params, upstream, cache):
@@ -409,8 +420,9 @@ def params_from_dict(doc):
     return NetworkParams(layers)
 
 
-def save_json(doc, path, **dump_kwargs):
-    """Write doc as JSON and a newline to path, atomically.
+@contextlib.contextmanager
+def _atomic_open(path):
+    """Text file to fill in place of path, which it replaces on success.
 
     The bytes go to ``<path>.tmp``, which is then renamed over path, so a
     kill mid-write keeps the previous file whole. If the write fails, the
@@ -419,13 +431,25 @@ def save_json(doc, path, **dump_kwargs):
     tmp = f"{os.fspath(path)}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as f:
-            json.dump(doc, f, **dump_kwargs)
-            f.write("\n")
+            yield f
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def save_json(doc, path, **dump_kwargs):
+    """Write doc as JSON and a newline to path, atomically."""
+    with _atomic_open(path) as f:
+        json.dump(doc, f, **dump_kwargs)
+        f.write("\n")
+
+
+def save_text(text, path):
+    """Write the string text to path, atomically."""
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def save_checkpoint(params, path, extra=None):

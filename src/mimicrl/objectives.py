@@ -99,7 +99,7 @@ def bc_nll_and_grads(policy, obs, act):
     if not np.isfinite(nll):
         raise NonFiniteError(f"non-finite BC loss {nll}")
     up_mu = (mu - act) / (std * std) / n
-    g_net, _ = net.backward_batch(policy.mean_net, up_mu, cache)
+    g_net = net.backward_batch(policy.mean_net, up_mu, cache)
     g_log_std = np.mean(1.0 - z * z, axis=0)
     return nll, g_net, g_log_std
 

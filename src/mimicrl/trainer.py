@@ -20,7 +20,6 @@ evaluation and expert-data filtering.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import asdict, dataclass, field
 
@@ -309,9 +308,7 @@ def train(config, dataset, out_dir=None, verbose=False):
                     break
     except NonFiniteError as e:
         if out_dir is not None and getattr(e, "batch_dump", None) is not None:
-            dump_path = os.path.join(out_dir, "abort_dump.json")
-            with open(dump_path, "w", encoding="utf-8") as f:
-                json.dump(e.batch_dump, f)
+            net.save_json(e.batch_dump, os.path.join(out_dir, "abort_dump.json"))
         raise
     finally:
         for writer in (update_csv, eval_csv):

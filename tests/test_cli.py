@@ -1,3 +1,4 @@
+import builtins
 import json
 
 import numpy as np
@@ -198,6 +199,42 @@ def test_train_bc_invalid_config_exit_1_writes_nothing(expert_file, tmp_path, ca
     assert rc == 1
     assert "steps" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_train_bc_history_write_failure_leaves_no_partial_file(expert_file, tmp_path,
+                                                               capsys, monkeypatch):
+    real_open = builtins.open
+
+    class HalfWritten:
+        """Writes the first 10 characters, then fails like a full disk."""
+
+        def __init__(self, f):
+            self._f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+        def write(self, text):
+            self._f.write(text[:10])
+            raise OSError("disk full")
+
+    def open_failing_history(path, *args, **kwargs):
+        f = real_open(path, *args, **kwargs)
+        return HalfWritten(f) if "nll_history" in str(path) else f
+
+    monkeypatch.setattr(builtins, "open", open_failing_history)
+    bc_cfg = tmp_path / "bc.json"
+    bc_cfg.write_text(json.dumps({"env_id": "linereacher-v0", "seed": 2,
+                                  "steps": 20}))
+    out = tmp_path / "bc_run"
+    rc = cli.main(["train-bc", "--config", str(bc_cfg),
+                   "--expert", str(expert_file), "--out", str(out)])
+    assert rc == 1
+    assert "disk full" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["bc.ckpt", "config.json"]
 
 
 def test_eval_actor_checkpoint_human_output(expert_file, tmp_path, capsys):

@@ -228,6 +228,62 @@ def test_loss_gradients_ignore_target_parameter_perturbations():
     assert np.array_equal(g1a, g1b)
 
 
+def reference_loss_and_grads(c1, c2, e_obs, e_act, e_t, b_obs, b_act, b_t):
+    """The update's loss, gradients and diag by the plain formula: a
+    bernoulli_jsd per critic, np.clip for the clamp and np.mean."""
+    n_e, n_b = len(e_obs), len(b_obs)
+    sa = np.concatenate([np.concatenate([e_obs, e_act], axis=1),
+                         np.concatenate([b_obs, b_act], axis=1)])
+    targets = np.concatenate([e_t, b_t])
+    weights = np.concatenate([np.full(n_e, 1.0 / n_e), np.full(n_b, 1.0 / n_b)])
+
+    def slope(p):
+        return np.log((1.0 - p) / p)
+
+    loss, grads, diags = 0.0, [], []
+    for c in (c1, c2):
+        out, cache = net.forward_batch(c.params, sa, want_cache=True)
+        raw, eps = out[:, 0], c.clamp_eps
+        q = np.clip(raw, eps, 1.0 - eps)
+        in_range = ((raw > eps) & (raw < 1.0 - eps)).astype(np.float64)
+        loss += float(critic.bernoulli_jsd(q, targets) @ weights)
+        m = 0.5 * (q + targets)
+        upstream = (0.5 * (slope(m) - slope(q)) * in_range * weights)[:, None]
+        grads.append(net.backward_batch(c.params, upstream, cache))
+        diags.append({"q_mean_expert": float(np.mean(q[:n_e])),
+                      "q_mean_beta": float(np.mean(q[n_e:]))})
+    return loss, grads[0], grads[1], diags[0]
+
+
+@pytest.mark.parametrize("n_e,n_b", [(128, 128), (16, 24)])
+def test_loss_and_grads_match_reference_bit_for_bit(n_e, n_b):
+    rng = np.random.default_rng([n_e, n_b])
+    dims = net.mlp_dims(3, 1)
+    c1, c2 = (critic.CriticNet(net.init_network(
+        dims, net.mlp_activations(2, "sigmoid"), rng), 1e-6) for _ in range(2))
+    e_obs, b_obs = rng.standard_normal((n_e, 2)), rng.standard_normal((n_b, 2))
+    e_act, b_act = rng.uniform(-1, 1, (n_e, 1)), rng.uniform(-1, 1, (n_b, 1))
+    # rows scaled far out saturate the sigmoid, so q sits at either clamp
+    e_obs[::2] *= 300.0
+    b_obs[::2] *= 300.0
+    e_t = rng.uniform(0.0, 1.0, n_e)
+    b_t = rng.uniform(0.0, 0.5, n_b)
+    # targets at the clamp and at the ends of [0, 1]
+    e_t[:4] = [1e-6, 1.0 - 1e-6, 0.0, 1.0]
+    b_t[-2:] = [1e-6, 0.0]
+    args = (c1, c2, e_obs, e_act, e_t, b_obs, b_act, b_t)
+    q = critic.q_batch(c1, np.concatenate([np.concatenate([e_obs, e_act], axis=1),
+                                           np.concatenate([b_obs, b_act], axis=1)]))
+    assert np.any(q == 1e-6) and np.any(q == 1.0 - 1e-6)
+
+    loss, g1, g2, diag = critic.critic_loss_and_grads(*args)
+    ref_loss, ref_g1, ref_g2, ref_diag = reference_loss_and_grads(*args)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert g1.tobytes() == ref_g1.tobytes()
+    assert g2.tobytes() == ref_g2.tobytes()
+    assert diag == ref_diag
+
+
 # --- soft update ---
 
 def test_soft_update_tau_one_copies():

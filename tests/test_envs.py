@@ -165,3 +165,116 @@ def test_trajectory_replays_bit_identically():
             return np.concatenate(seen)
 
         assert np.array_equal(run(), run())
+
+
+def test_nan_action_is_rejected():
+    # NaN passes neither bound check, so it is out of bounds, not a state
+    for env_id in envs.ENV_IDS:
+        for action in (np.array([np.nan]), [float("nan")]):
+            state, _ = envs.reset(env_id, 0)
+            with pytest.raises(ActionBoundsError, match="outside bounds"):
+                envs.step(state, action)
+
+
+# Reference dynamics: the formulas on numpy arrays and numpy scalars,
+# unpacked from the state, action and observation arrays. The library
+# runs the same operations on Python floats, and must match bit for bit.
+
+def _ref_observe(env_id, phys):
+    if env_id == "linereacher-v0":
+        return phys.copy()
+    theta, theta_dot = phys
+    return np.array([math.cos(theta), math.sin(theta), theta_dot])
+
+
+def _ref_step(env_id, phys, action):
+    dt = envs.env_spec(env_id).dt
+    action = np.asarray(action, dtype=np.float64)
+    if env_id == "linereacher-v0":
+        x, v = phys
+        a = action[0]
+        reward = -(x * x + 0.1 * v * v + 0.001 * a * a)
+        phys = np.array([x + v * dt, min(max(v + a * dt, -2.0), 2.0)])
+    else:
+        theta, theta_dot = phys
+        u = action[0]
+        theta_acc = 15.0 * math.sin(theta) + 3.0 * u
+        theta_dot_new = min(max(theta_dot + theta_acc * dt, -8.0), 8.0)
+        theta_new = theta + theta_dot_new * dt
+        reward = -(envs.wrap_angle(theta_new) ** 2
+                   + 0.1 * theta_dot_new * theta_dot_new + 0.001 * u * u)
+        phys = np.array([theta_new, theta_dot_new])
+    return phys, _ref_observe(env_id, phys), float(reward)
+
+
+def _ref_expert_action(env_id, obs):
+    obs = np.asarray(obs, dtype=np.float64)
+    if env_id == "linereacher-v0":
+        x, v = obs
+        return np.array([min(max(-4.0 * x - 3.0 * v, -1.0), 1.0)])
+    cos_t, sin_t, theta_dot = obs
+    theta = envs.wrap_angle(math.atan2(sin_t, cos_t))
+    if abs(theta) < 0.3 and abs(theta_dot) < 2.0:
+        u = -16.0 * theta - 4.0 * theta_dot
+    else:
+        energy = 0.5 * theta_dot * theta_dot - 15.0 * cos_t
+        u = 6.0 * theta_dot * (15.0 - energy)
+    return np.array([min(max(u, -2.0), 2.0)])
+
+
+def _ref_rollout(env_id, seed, action_fn):
+    rng = np.random.default_rng(seed)
+    if env_id == "linereacher-v0":
+        phys = np.array([rng.uniform(-1.5, -0.5), 0.0])
+    else:
+        theta = rng.uniform(-math.pi, math.pi)
+        phys = np.array([theta, rng.uniform(-1.0, 1.0)])
+    obs = _ref_observe(env_id, phys)
+    horizon = envs.env_spec(env_id).horizon
+    transitions, total = [], 0.0
+    for t in range(horizon):
+        act = action_fn(obs)
+        phys, next_obs, reward = _ref_step(env_id, phys, act)
+        transitions.append((obs, act, next_obs, reward, t + 1 == horizon))
+        total += reward
+        obs = next_obs
+    return transitions, total
+
+
+def _policies(env_id, seed):
+    """(name, library action_fn, reference action_fn) triples."""
+    spec = envs.env_spec(env_id)
+    low, high = spec.action_low.copy(), spec.action_high.copy()
+
+    def uniform():
+        rng = np.random.default_rng([seed, 1])
+        return lambda obs: rng.uniform(low, high)
+
+    def bang_bang(obs):
+        # exactly at the bounds, switching on the sign of the velocity
+        return high if obs[-1] < 0.0 else low
+
+    return [
+        ("expert", lambda obs: envs.expert_action(env_id, obs),
+         lambda obs: _ref_expert_action(env_id, obs)),
+        ("uniform", uniform(), uniform()),
+        ("bang-bang", bang_bang, bang_bang),
+    ]
+
+
+def _bits(value):
+    return np.asarray(value, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("env_id", envs.ENV_IDS)
+def test_rollouts_match_reference_dynamics_bit_for_bit(env_id):
+    for seed in range(50):
+        for name, action_fn, ref_action_fn in _policies(env_id, seed):
+            got, total = envs.rollout(env_id, seed, action_fn)
+            want, ref_total = _ref_rollout(env_id, seed, ref_action_fn)
+            assert len(got) == len(want)
+            for (o, a, n, r, d), (ro, ra, rn, rr, rd) in zip(got, want):
+                assert type(r) is float, name
+                assert (_bits(o), _bits(a), _bits(n), _bits(r), d) == \
+                    (_bits(ro), _bits(ra), _bits(rn), _bits(rr), rd), (name, seed)
+            assert _bits(total) == _bits(ref_total), (name, seed)

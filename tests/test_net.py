@@ -64,9 +64,15 @@ def test_layer_chain_mismatch_rejected():
 
 
 def backward_at(p, x, upstream):
-    """backward_batch through a fresh forward cache of the batch x."""
+    """(parameter grads, input grads) at the batch x.
+
+    A cache serves one gradient call, so backward_batch and
+    input_grad_batch each get a fresh forward cache of x.
+    """
     _, cache = net.forward_batch(p, x, want_cache=True)
-    return net.backward_batch(p, upstream, cache)
+    grads = net.backward_batch(p, upstream, cache)
+    _, cache = net.forward_batch(p, x, want_cache=True)
+    return grads, net.input_grad_batch(p, upstream, cache)
 
 
 def test_backward_single_affine_chain_rule():
@@ -305,15 +311,25 @@ def random_network(rng, activation):
     return p
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("activation", net.ACTIVATIONS)
-def test_engine_matches_reference_bit_for_bit(activation, seed):
-    rng = np.random.default_rng([seed, net.ACTIVATIONS.index(activation)])
-    p = random_network(rng, activation)
-    n = int(rng.integers(1, 300))
-    x = 3.0 * rng.standard_normal((n, p.n_in))
-    x[0] = 0.0   # exact zero pre-activations where the bias is zero
-    upstream = rng.standard_normal((n, p.n_out))
+def trainer_networks(rng):
+    """A linereacher critic and actor as the trainer builds them, with
+    a union batch (256 rows) and a behaviour batch (128 rows) of inputs
+    and upstreams. Some upstream rows are signed zeros, as clamped
+    critic rows give, so the one-unit output layers see them."""
+    nets = []
+    for out_act, n in (("sigmoid", 256), ("tanh", 128)):
+        dims = net.mlp_dims(3, 1)
+        p = net.init_network(dims, net.mlp_activations(len(dims) - 2, out_act), rng)
+        p.set_flat(p.get_flat() + 0.1 * rng.standard_normal(p.n_params))
+        upstream = rng.standard_normal((n, 1))
+        upstream[::7] = -0.0
+        upstream[3::7] = 0.0
+        nets.append((p, rng.standard_normal((n, 3)), upstream))
+    return nets
+
+
+def assert_engine_matches_reference(p, x, upstream):
+    n = x.shape[0]
     ref_out, ref_grads, ref_gin = reference_forward_backward(p, x, upstream)
 
     out, cache = net.forward_batch(p, x, want_cache=True)
@@ -328,9 +344,7 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
         assert_bits_equal(net.forward_batch(p, row), ref_row)
 
     x_before, up_before, out_before = x.copy(), upstream.copy(), out.copy()
-    grads, gin = net.backward_batch(p, upstream, cache)
-    assert_bits_equal(grads, ref_grads)
-    assert_bits_equal(gin, ref_gin)
+    assert_bits_equal(net.backward_batch(p, upstream, cache), ref_grads)
     # the cache is consumed, but the caller's arrays are only read
     assert_bits_equal(x, x_before)
     assert_bits_equal(upstream, up_before)
@@ -338,6 +352,20 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
 
     _, cache = net.forward_batch(p, x, want_cache=True)
     assert_bits_equal(net.input_grad_batch(p, upstream, cache), ref_gin)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+def test_engine_matches_reference_bit_for_bit(activation, seed):
+    rng = np.random.default_rng([seed, net.ACTIVATIONS.index(activation)])
+    p = random_network(rng, activation)
+    n = int(rng.integers(1, 300))
+    x = 3.0 * rng.standard_normal((n, p.n_in))
+    x[0] = 0.0   # exact zero pre-activations where the bias is zero
+    upstream = rng.standard_normal((n, p.n_out))
+    assert_engine_matches_reference(p, x, upstream)
+    for p, x, upstream in trainer_networks(rng):
+        assert_engine_matches_reference(p, x, upstream)
 
 
 def test_adam_step_matches_reference_bit_for_bit():

@@ -395,6 +395,23 @@ def test_non_finite_loss_aborts_and_dumps_batch(dataset, tmp_path, monkeypatch):
     assert len(dump["expert_obs"]) == cfg.batch_expert
 
 
+def test_abort_dump_write_failure_leaves_no_partial_file(dataset, tmp_path, monkeypatch):
+    def dump_then_fail(doc, f, **kwargs):
+        f.write('{"episode": 1, ')
+        raise OSError("disk full")
+
+    def explode(*args, **kwargs):
+        # config.json is already written; the next JSON write is the dump
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        raise NonFiniteError("non-finite critic loss nan; aborting update")
+
+    monkeypatch.setattr(critic_mod, "critic_loss_and_grads", explode)
+    with pytest.raises(OSError, match="disk full"):
+        trainer.train(small_config(), dataset, out_dir=tmp_path / "run")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == \
+        ["config.json", "eval.csv", "metrics.csv"]
+
+
 def test_early_stop_extension(dataset):
     cfg = small_config(max_episodes=50, early_stop_return=-1e9)
     result = trainer.train(cfg, dataset)
