@@ -42,16 +42,10 @@ def make_actor(spec, rng, noise_dim=None):
     """Fresh actor for an EnvSpec. noise_dim defaults to act_dim."""
     if noise_dim is None:
         noise_dim = spec.act_dim
-    dims = net.mlp_dims(spec.obs_dim + noise_dim, spec.act_dim)
-    params = net.init_network(dims, net.mlp_activations(len(dims) - 2, "tanh"), rng)
+    params = net.init_mlp(spec.obs_dim + noise_dim, spec.act_dim, "tanh", rng)
     center = (np.asarray(spec.action_high) + np.asarray(spec.action_low)) / 2.0
     halfwidth = (np.asarray(spec.action_high) - np.asarray(spec.action_low)) / 2.0
     return ActorPolicy(params, noise_dim, center, halfwidth, spec.env_id)
-
-
-def sample_noise(rng, noise_dim):
-    """z with i.i.d. standard-normal coordinates (noise_dim 0 is allowed)."""
-    return rng.standard_normal(noise_dim)
 
 
 def act(policy, obs, z):
@@ -124,10 +118,11 @@ def save_actor(policy, path):
 
 def load_actor(path):
     params, doc = net.load_checkpoint(path)
-    return ActorPolicy(
-        params=params,
-        noise_dim=int(doc["noise_dim"]),
-        action_center=np.asarray(doc["action_center"], dtype=np.float64),
-        action_halfwidth=np.asarray(doc["action_halfwidth"], dtype=np.float64),
-        env_id=doc.get("env_id", ""),
-    )
+    with net.checkpoint_errors(path):
+        return ActorPolicy(
+            params=params,
+            noise_dim=int(doc["noise_dim"]),
+            action_center=np.asarray(doc["action_center"], dtype=np.float64),
+            action_halfwidth=np.asarray(doc["action_halfwidth"], dtype=np.float64),
+            env_id=doc.get("env_id", ""),
+        )

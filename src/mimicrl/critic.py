@@ -37,9 +37,8 @@ class CriticNet:
 
 
 def make_critic(spec, rng, clamp_eps=1e-6):
-    dims = net.mlp_dims(spec.obs_dim + spec.act_dim, 1)
-    params = net.init_network(dims, net.mlp_activations(len(dims) - 2, "sigmoid"), rng)
-    return CriticNet(params, clamp_eps)
+    return CriticNet(net.init_mlp(spec.obs_dim + spec.act_dim, 1, "sigmoid", rng),
+                     clamp_eps)
 
 
 def q_batch(critic, sa, want_cache=False):
@@ -204,4 +203,5 @@ def save_critic(critic, path):
 
 def load_critic(path):
     params, doc = net.load_checkpoint(path)
-    return CriticNet(params=params, clamp_eps=float(doc["clamp_eps"]))
+    with net.checkpoint_errors(path):
+        return CriticNet(params=params, clamp_eps=float(doc["clamp_eps"]))

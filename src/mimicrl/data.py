@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import net
 from .envs import EnvSpec, env_spec
 from .errors import DatasetFormatError, DimensionMismatch
 
@@ -62,6 +63,11 @@ class TransitionArrays:
     def __len__(self):
         return self.obs.shape[0]
 
+    def take(self, idx):
+        """The rows at the indices idx, as a new TransitionArrays."""
+        return TransitionArrays(self.obs[idx], self.act[idx], self.next_obs[idx],
+                                self.done[idx])
+
 
 class ReplayBuffer:
     """Fixed-capacity FIFO ring over (obs, act, next_obs, done).
@@ -77,10 +83,12 @@ class ReplayBuffer:
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.act_dim = act_dim
-        self._obs = np.zeros((capacity, obs_dim))
-        self._act = np.zeros((capacity, act_dim))
-        self._next_obs = np.zeros((capacity, obs_dim))
-        self._done = np.zeros(capacity, dtype=bool)
+        self._rows = TransitionArrays(
+            obs=np.zeros((capacity, obs_dim)),
+            act=np.zeros((capacity, act_dim)),
+            next_obs=np.zeros((capacity, obs_dim)),
+            done=np.zeros(capacity, dtype=bool),
+        )
         self._write = 0
         self._size = 0
 
@@ -101,10 +109,11 @@ class ReplayBuffer:
                 f"action shape {act.shape} does not match act_dim {self.act_dim}"
             )
         i = self._write
-        self._obs[i] = obs
-        self._act[i] = act
-        self._next_obs[i] = next_obs
-        self._done[i] = bool(tr.done)
+        rows = self._rows
+        rows.obs[i] = obs
+        rows.act[i] = act
+        rows.next_obs[i] = next_obs
+        rows.done[i] = bool(tr.done)
         self._write = (i + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
 
@@ -112,13 +121,7 @@ class ReplayBuffer:
         """Uniform-with-replacement batch, as reward-free arrays."""
         if self._size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, self._size, size=batch_size)
-        return TransitionArrays(
-            obs=self._obs[idx],
-            act=self._act[idx],
-            next_obs=self._next_obs[idx],
-            done=self._done[idx],
-        )
+        return self._rows.take(rng.integers(0, self._size, size=batch_size))
 
 
 def trajectory_return(trajectory):
@@ -166,14 +169,17 @@ class ExpertDataset:
         self.return_stats = (
             float(np.mean(returns)), float(min(returns)), float(max(returns)),
         )
-        self._obs = np.array([tr.obs for tr in self.transitions])
-        self._act = np.array([tr.act for tr in self.transitions])
-        self._next_obs = np.array([tr.next_obs for tr in self.transitions])
-        self._done = np.array([tr.done for tr in self.transitions], dtype=bool)
-        if self._obs.shape[1] != spec.obs_dim or self._act.shape[1] != spec.act_dim:
+        self._arrays = TransitionArrays(
+            obs=np.array([tr.obs for tr in self.transitions]),
+            act=np.array([tr.act for tr in self.transitions]),
+            next_obs=np.array([tr.next_obs for tr in self.transitions]),
+            done=np.array([tr.done for tr in self.transitions], dtype=bool),
+        )
+        obs_dim, act_dim = self._arrays.obs.shape[1], self._arrays.act.shape[1]
+        if obs_dim != spec.obs_dim or act_dim != spec.act_dim:
             raise DatasetFormatError(
-                f"transition dims {self._obs.shape[1]}/{self._act.shape[1]} do not "
-                f"match spec dims {spec.obs_dim}/{spec.act_dim}"
+                f"transition dims {obs_dim}/{act_dim} do not match spec dims "
+                f"{spec.obs_dim}/{spec.act_dim}"
             )
 
     def __len__(self):
@@ -181,12 +187,11 @@ class ExpertDataset:
 
     def training_arrays(self):
         """Reward-stripped view of every transition."""
-        return TransitionArrays(
-            obs=self._obs, act=self._act, next_obs=self._next_obs, done=self._done,
-        )
+        return self._arrays
 
 
 def save_dataset(dataset, path):
+    """Write dataset to path as JSON lines, atomically."""
     spec = dataset.spec
     mean, lo, hi = dataset.return_stats
     meta = {
@@ -202,7 +207,7 @@ def save_dataset(dataset, path):
         "return_min": lo,
         "return_max": hi,
     }
-    with open(path, "w", encoding="utf-8") as f:
+    with net.atomic_open(path) as f:
         f.write(json.dumps(meta) + "\n")
         for tr in dataset.transitions:
             rec = {

@@ -10,9 +10,10 @@ replays bit-identically from (seed, action sequence). Rewards exist
 only for evaluation and expert filtering — the imitation learner never
 reads them.
 
-``step`` and ``expert_action`` run once per env step, so they unpack
-their arrays into Python floats and do the scalar maths on those: the
-IEEE operations are the same as on numpy scalars, without numpy's
+``step`` and ``expert_action`` run once per env step, so they do the
+scalar maths on Python floats: the state keeps its coordinates as
+floats, and the action and observation arrays are unpacked into floats.
+The IEEE operations are the same as on numpy scalars, without numpy's
 per-operation dispatch. Actions are checked against per-env float
 bounds cached at import; a NaN component is rejected like any other
 out-of-bounds action.
@@ -42,7 +43,7 @@ class EnvSpec:
 @dataclass
 class EnvState:
     env_id: str
-    phys: np.ndarray      # environment-specific coordinates
+    phys: tuple           # two environment-specific coordinates, as Python floats
     step_index: int = 0
 
 
@@ -119,7 +120,7 @@ def reset(env_id, seed):
     else:
         p0 = rng.uniform(-math.pi, math.pi)
         p1 = rng.uniform(-1.0, 1.0)
-    state = EnvState(env_id=spec.env_id, phys=np.array([p0, p1]), step_index=0)
+    state = EnvState(env_id=spec.env_id, phys=(p0, p1), step_index=0)
     return state, _observe(env_id, p0, p1)
 
 
@@ -157,13 +158,13 @@ def step(state, action):
         )
     a = _check_action(spec, action)[0]
     if state.env_id == "linereacher-v0":
-        x, v = state.phys.tolist()
+        x, v = state.phys
         reward = -(x * x + 0.1 * v * v + 0.001 * a * a)
         x_new = x + v * spec.dt
         v_new = min(max(v + a * spec.dt, -_MAX_VEL), _MAX_VEL)
         p0, p1 = x_new, v_new
     else:
-        theta, theta_dot = state.phys.tolist()
+        theta, theta_dot = state.phys
         theta_acc = (3.0 * _G / (2.0 * _L)) * math.sin(theta) + (3.0 / (_M * _L * _L)) * a
         theta_dot_new = min(max(theta_dot + theta_acc * spec.dt, -_MAX_SPEED), _MAX_SPEED)
         theta_new = theta + theta_dot_new * spec.dt
@@ -173,8 +174,7 @@ def step(state, action):
             + 0.001 * a * a
         )
         p0, p1 = theta_new, theta_dot_new
-    nxt = EnvState(env_id=state.env_id, phys=np.array([p0, p1]),
-                   step_index=state.step_index + 1)
+    nxt = EnvState(env_id=state.env_id, phys=(p0, p1), step_index=state.step_index + 1)
     done = nxt.step_index == spec.horizon
     return nxt, _observe(state.env_id, p0, p1), reward, done
 

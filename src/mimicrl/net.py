@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteError
+from .errors import DimensionMismatch, MimicError, NonFiniteError
 
 ACTIVATIONS = ("tanh", "relu", "identity", "sigmoid")
 
@@ -187,12 +187,11 @@ def init_network(dims, activations, rng):
     return NetworkParams(layers)
 
 
-def mlp_dims(n_in, n_out, hidden=(64, 64)):
-    return [n_in, *hidden, n_out]
-
-
-def mlp_activations(n_hidden, out_activation):
-    return ["relu"] * n_hidden + [out_activation]
+def init_mlp(n_in, n_out, out_activation, rng, hidden=(64, 64)):
+    """init_network over [n_in, *hidden, n_out]: relu hidden layers, then
+    out_activation on the output layer."""
+    return init_network([n_in, *hidden, n_out],
+                        ["relu"] * len(hidden) + [out_activation], rng)
 
 
 def forward_batch(params, x, want_cache=False):
@@ -417,11 +416,13 @@ def params_from_dict(doc):
         layers.append(
             Layer(w.reshape(spec["out"], spec["in"]), np.asarray(spec["bias"]), spec["activation"])
         )
+    if not layers:
+        raise DimensionMismatch("'layers' holds no layer")
     return NetworkParams(layers)
 
 
 @contextlib.contextmanager
-def _atomic_open(path):
+def atomic_open(path):
     """Text file to fill in place of path, which it replaces on success.
 
     The bytes go to ``<path>.tmp``, which is then renamed over path, so a
@@ -441,14 +442,14 @@ def _atomic_open(path):
 
 def save_json(doc, path, **dump_kwargs):
     """Write doc as JSON and a newline to path, atomically."""
-    with _atomic_open(path) as f:
+    with atomic_open(path) as f:
         json.dump(doc, f, **dump_kwargs)
         f.write("\n")
 
 
 def save_text(text, path):
     """Write the string text to path, atomically."""
-    with _atomic_open(path) as f:
+    with atomic_open(path) as f:
         f.write(text)
 
 
@@ -456,8 +457,20 @@ def save_checkpoint(params, path, extra=None):
     save_json(checkpoint_dict(params, extra), path)
 
 
+@contextlib.contextmanager
+def checkpoint_errors(path):
+    """Re-raise a malformed checkpoint's missing key (KeyError) or bad
+    value (TypeError, ValueError) as a MimicError that names path."""
+    try:
+        yield
+    except KeyError as e:
+        raise MimicError(f"checkpoint {path}: missing key {e}") from None
+    except (TypeError, ValueError) as e:
+        raise MimicError(f"checkpoint {path}: {e}") from None
+
+
 def load_checkpoint(path):
     """Load a checkpoint JSON; returns (params, full document)."""
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
         doc = json.load(f)
-    return params_from_dict(doc), doc
+        return params_from_dict(doc), doc

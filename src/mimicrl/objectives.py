@@ -65,10 +65,8 @@ class GaussianBCPolicy:
 
 
 def make_bc_policy(spec, rng, hidden=(64, 64), log_std_init=0.0):
-    dims = net.mlp_dims(spec.obs_dim, spec.act_dim, hidden)
-    params = net.init_network(dims, net.mlp_activations(len(hidden), "identity"), rng)
     return GaussianBCPolicy(
-        mean_net=params,
+        mean_net=net.init_mlp(spec.obs_dim, spec.act_dim, "identity", rng, hidden),
         log_std=np.full(spec.act_dim, float(log_std_init)),
         action_low=np.asarray(spec.action_low, dtype=np.float64),
         action_high=np.asarray(spec.action_high, dtype=np.float64),
@@ -149,6 +147,14 @@ class JsonConfig:
             if not isinstance(value, kinds) or isinstance(value, bool):
                 raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
 
+    def check_dataset(self, dataset):
+        """Raise ValueError unless dataset was recorded on this config's env."""
+        if dataset.spec.env_id != self.env_id:
+            raise ValueError(
+                f"dataset env {dataset.spec.env_id!r} does not match config env "
+                f"{self.env_id!r}"
+            )
+
     def _require_at_least_one(self, *names):
         for name in names:
             v = getattr(self, name)
@@ -187,11 +193,7 @@ def train_bc(config, dataset):
     Returns (policy, history) where history is a list of
     (step, nll) pairs sampled every 100 steps and at the end.
     """
-    if dataset.spec.env_id != config.env_id:
-        raise ValueError(
-            f"dataset env {dataset.spec.env_id!r} does not match config "
-            f"env {config.env_id!r}"
-        )
+    config.check_dataset(dataset)
     rng = np.random.default_rng(config.seed)
     policy = make_bc_policy(
         dataset.spec, rng, hidden=tuple(config.hidden),
@@ -218,10 +220,11 @@ def save_bc_policy(policy, path):
 def load_bc_policy(path, spec):
     """Load a BC checkpoint; action bounds come from the EnvSpec."""
     params, doc = net.load_checkpoint(path)
-    return GaussianBCPolicy(
-        mean_net=params,
-        log_std=np.asarray(doc["log_std"], dtype=np.float64),
-        action_low=np.asarray(spec.action_low, dtype=np.float64),
-        action_high=np.asarray(spec.action_high, dtype=np.float64),
-        env_id=spec.env_id,
-    )
+    with net.checkpoint_errors(path):
+        return GaussianBCPolicy(
+            mean_net=params,
+            log_std=np.asarray(doc["log_std"], dtype=np.float64),
+            action_low=np.asarray(spec.action_low, dtype=np.float64),
+            action_high=np.asarray(spec.action_high, dtype=np.float64),
+            env_id=spec.env_id,
+        )

@@ -106,8 +106,7 @@ class TrainResult:
 def build_learner(config, rng):
     """Networks and optimizers in a fixed initialization order."""
     spec = env_spec(config.env_id)
-    noise_dim = spec.act_dim if config.noise_dim is None else config.noise_dim
-    policy = actor_mod.make_actor(spec, rng, noise_dim=noise_dim)
+    policy = actor_mod.make_actor(spec, rng, noise_dim=config.noise_dim)
     critic1 = critic_mod.make_critic(spec, rng, clamp_eps=config.clamp_eps)
     critic2 = critic_mod.make_critic(spec, rng, clamp_eps=config.clamp_eps)
     return LearnerState(
@@ -133,7 +132,7 @@ def collect_episode(env_id, policy, buffer, rng, traj_id=0):
     """Roll one full episode with sampled noise; push every transition."""
     ep_seed = int(rng.integers(0, 2**63))
     raw, _ = rollout(env_id, ep_seed, lambda obs: actor_mod.act(
-        policy, obs, actor_mod.sample_noise(rng, policy.noise_dim)))
+        policy, obs, rng.standard_normal(policy.noise_dim)))
     for tr in _transitions(raw, traj_id):
         buffer.push(tr)
     return len(raw)
@@ -160,23 +159,19 @@ def update_step(state, expert_views, buffer, config, rng, episode=0):
     Mutates state in place (parameters, optimizer moments, global_step).
     Targets are computed before any parameter changes.
     """
-    n_expert_total = len(expert_views)
-    expert_idx = rng.integers(0, n_expert_total, size=config.batch_expert)
-    e_obs = expert_views.obs[expert_idx]
-    e_act = expert_views.act[expert_idx]
-    e_next = expert_views.next_obs[expert_idx]
-    e_done = expert_views.done[expert_idx]
+    expert = expert_views.take(
+        rng.integers(0, len(expert_views), size=config.batch_expert))
     beta = buffer.sample_arrays(config.batch_beta, rng)
 
-    union_next = np.concatenate([e_next, beta.next_obs], axis=0)
-    union_done = np.concatenate([e_done, beta.done], axis=0)
+    union_next = np.concatenate([expert.next_obs, beta.next_obs], axis=0)
+    union_done = np.concatenate([expert.done, beta.done], axis=0)
     expert_targets, beta_targets = _compute_targets(
         state, config, union_next, union_done, config.batch_expert, rng,
     )
 
     try:
         loss, g1, g2, diag = critic_mod.critic_loss_and_grads(
-            state.critic1, state.critic2, e_obs, e_act, expert_targets,
+            state.critic1, state.critic2, expert.obs, expert.act, expert_targets,
             beta.obs, beta.act, beta_targets,
         )
         net.adam_step(state.opt_critic1, state.critic1.params.flat, g1)
@@ -190,8 +185,8 @@ def update_step(state, expert_views, buffer, config, rng, episode=0):
         e.batch_dump = {
             "episode": episode,
             "global_step": state.global_step + 1,
-            "expert_obs": e_obs.tolist(),
-            "expert_act": e_act.tolist(),
+            "expert_obs": expert.obs.tolist(),
+            "expert_act": expert.act.tolist(),
             "beta_obs": beta.obs.tolist(),
             "beta_act": beta.act.tolist(),
         }
@@ -257,14 +252,11 @@ def train(config, dataset, out_dir=None, verbose=False):
 
     When out_dir is given, writes config.json up front, appends
     metrics.csv / eval.csv incrementally, and refreshes checkpoints at
-    every evaluation and at the end. The per-update rows go to
-    metrics.csv only; the result's metrics hold the evaluation rows.
+    every evaluation (the last episode is always evaluated). The
+    per-update rows go to metrics.csv only; the result's metrics hold
+    the evaluation rows.
     """
-    if dataset.spec.env_id != config.env_id:
-        raise ValueError(
-            f"dataset env {dataset.spec.env_id!r} does not match config env "
-            f"{config.env_id!r}"
-        )
+    config.check_dataset(dataset)
     spec = env_spec(config.env_id)
     rng = np.random.default_rng(config.seed)
     state = build_learner(config, rng)
@@ -315,8 +307,6 @@ def train(config, dataset, out_dir=None, verbose=False):
             if writer is not None:
                 writer.close()
 
-    if out_dir is not None:
-        _write_checkpoints(state, out_dir)
     return TrainResult(
         actor=state.actor, critic1=state.critic1, critic2=state.critic2,
         metrics=metrics, env_steps=env_steps,

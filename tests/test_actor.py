@@ -54,20 +54,12 @@ def test_act_rejects_wrong_dims():
         actor.act(pol, np.zeros(2), np.zeros(pol.noise_dim + 1))
 
 
-def test_sample_noise_reproducible_and_centered():
-    a = actor.sample_noise(np.random.default_rng(5), 4)
-    b = actor.sample_noise(np.random.default_rng(5), 4)
-    assert np.array_equal(a, b)
-    draws = np.random.default_rng(6).standard_normal(100_000)
-    assert abs(draws.mean()) < 5.0 / np.sqrt(100_000)
-
-
 def test_noise_dim_zero_gives_deterministic_policy():
     rng = np.random.default_rng(7)
     pol = actor.make_actor(env_spec("linereacher-v0"), rng, noise_dim=0)
     obs = np.array([0.3, -0.2])
     a = actor.act(pol, obs, np.zeros(0))
-    b = actor.act(pol, obs, actor.sample_noise(rng, 0))
+    b = actor.act(pol, obs, rng.standard_normal(0))
     assert np.array_equal(a, b)
 
 
@@ -75,12 +67,10 @@ def make_tiny_pair(seed=0, obs_dim=2, act_dim=1, hidden=(4,)):
     """Small actor/critic pair on a fake 2-d env for gradient tests."""
     rng = np.random.default_rng(seed)
     spec = env_spec("linereacher-v0")
-    dims = net.mlp_dims(obs_dim + act_dim, act_dim, hidden)
-    params = net.init_network(dims, net.mlp_activations(len(hidden), "tanh"), rng)
+    params = net.init_mlp(obs_dim + act_dim, act_dim, "tanh", rng, hidden)
     pol = actor.ActorPolicy(params, act_dim, spec.action_low * 0.0,
                             (spec.action_high - spec.action_low) / 2.0, spec.env_id)
-    cdims = net.mlp_dims(obs_dim + act_dim, 1, hidden)
-    cparams = net.init_network(cdims, net.mlp_activations(len(hidden), "sigmoid"), rng)
+    cparams = net.init_mlp(obs_dim + act_dim, 1, "sigmoid", rng, hidden)
     return pol, critic.CriticNet(cparams, 1e-6), rng
 
 

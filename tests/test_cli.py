@@ -1,10 +1,14 @@
 import builtins
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from mimicrl import cli, objectives, trainer
+import mimicrl
+from mimicrl import actor, cli, objectives, trainer
 from mimicrl.data import load_dataset
 from mimicrl.envs import env_spec
 
@@ -254,3 +258,42 @@ def test_eval_unreadable_checkpoint_exit_1(tmp_path, capsys):
     rc = cli.main(["eval", "--actor", str(missing), "--env", "linereacher-v0"])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize("break_doc,fault", [
+    (lambda doc: {"noise_dim": 1}, "missing key 'layers'"),
+    (lambda doc: dict(doc, layers=[without(l, "bias") for l in doc["layers"]]),
+     "missing key 'bias'"),
+    (lambda doc: without(doc, "action_center"), "missing key 'action_center'"),
+    (lambda doc: dict(doc, layers=5), "'int' object is not iterable"),
+    (lambda doc: dict(doc, layers=[]), "'layers' holds no layer"),
+], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
+        "layers-empty"])
+def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
+    path = tmp_path / "actor.ckpt"
+    actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),
+                                      np.random.default_rng(0)), path)
+    path.write_text(json.dumps(break_doc(json.loads(path.read_text()))))
+    rc = cli.main(["eval", "--actor", str(path), "--env", "linereacher-v0",
+                   "--episodes", "1"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: checkpoint {path}: {fault}\n"
+
+
+def test_bare_import_loads_every_submodule_but_cli_and_binds_only_modules():
+    probe = ("import sys, types, mimicrl; "
+             "print(sorted(k for k in sys.modules if k.startswith('mimicrl.'))); "
+             "print(sorted(k for k, v in vars(mimicrl).items() "
+             "if not k.startswith('_') and not isinstance(v, types.ModuleType)))")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(mimicrl.__file__)))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    modules, bound = out.splitlines()
+    names = ("actor", "critic", "data", "envs", "errors", "net", "objectives", "trainer")
+    assert modules == str([f"mimicrl.{name}" for name in names])
+    assert bound == "[]"

@@ -23,8 +23,7 @@ def constant_critic(q_value, obs_dim=2, act_dim=1, clamp_eps=1e-6):
 
 def random_critic(seed, obs_dim=2, act_dim=1, hidden=(4,)):
     rng = np.random.default_rng(seed)
-    dims = net.mlp_dims(obs_dim + act_dim, 1, hidden)
-    params = net.init_network(dims, net.mlp_activations(len(hidden), "sigmoid"), rng)
+    params = net.init_mlp(obs_dim + act_dim, 1, "sigmoid", rng, hidden)
     return critic.CriticNet(params, 1e-6)
 
 
@@ -258,9 +257,8 @@ def reference_loss_and_grads(c1, c2, e_obs, e_act, e_t, b_obs, b_act, b_t):
 @pytest.mark.parametrize("n_e,n_b", [(128, 128), (16, 24)])
 def test_loss_and_grads_match_reference_bit_for_bit(n_e, n_b):
     rng = np.random.default_rng([n_e, n_b])
-    dims = net.mlp_dims(3, 1)
-    c1, c2 = (critic.CriticNet(net.init_network(
-        dims, net.mlp_activations(2, "sigmoid"), rng), 1e-6) for _ in range(2))
+    c1, c2 = (critic.CriticNet(net.init_mlp(3, 1, "sigmoid", rng), 1e-6)
+              for _ in range(2))
     e_obs, b_obs = rng.standard_normal((n_e, 2)), rng.standard_normal((n_b, 2))
     e_act, b_act = rng.uniform(-1, 1, (n_e, 1)), rng.uniform(-1, 1, (n_b, 1))
     # rows scaled far out saturate the sigmoid, so q sits at either clamp

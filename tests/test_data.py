@@ -129,6 +129,27 @@ def test_save_load_second_round_trip_identical_bytes(tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == first
 
 
+def test_save_failure_keeps_previous_bytes(tmp_path, monkeypatch):
+    ds = expert_fixture(tmp_path)
+    path = tmp_path / "exp.jsonl"
+    before = path.read_bytes()
+    real_dumps = json.dumps
+    calls = []
+
+    def dumps_then_fail(doc):
+        # the metadata line and one transition are written, then the disk fills
+        calls.append(doc)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_dumps(doc)
+
+    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        data.save_dataset(ds, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.jsonl"]
+
+
 def test_truncated_line_names_line_number(tmp_path):
     expert_fixture(tmp_path)
     lines = (tmp_path / "exp.jsonl").read_text().splitlines()

@@ -38,7 +38,7 @@ def test_reset_deterministic():
 
 
 def test_linereacher_fixed_point_at_goal():
-    state = envs.EnvState("linereacher-v0", np.array([0.0, 0.0]))
+    state = envs.EnvState("linereacher-v0", (0.0, 0.0))
     state, obs, reward, done = envs.step(state, np.array([0.0]))
     assert np.array_equal(obs, np.zeros(2))
     assert reward == 0.0
@@ -46,20 +46,20 @@ def test_linereacher_fixed_point_at_goal():
 
 
 def test_linereacher_hand_evaluated_step():
-    state = envs.EnvState("linereacher-v0", np.array([1.0, 0.0]))
+    state = envs.EnvState("linereacher-v0", (1.0, 0.0))
     _, obs, reward, _ = envs.step(state, np.array([-1.0]))
     assert obs == pytest.approx([1.0, -0.05])
     assert reward == pytest.approx(-1.001)
 
 
 def test_linereacher_velocity_clamp():
-    state = envs.EnvState("linereacher-v0", np.array([0.0, 1.99]))
+    state = envs.EnvState("linereacher-v0", (0.0, 1.99))
     _, obs, _, _ = envs.step(state, np.array([1.0]))
     assert obs[1] == 2.0  # clamped at +2
 
 
 def test_pendulum_upright_is_equilibrium():
-    state = envs.EnvState("pendulum-v0", np.array([0.0, 0.0]))
+    state = envs.EnvState("pendulum-v0", (0.0, 0.0))
     _, obs, reward, _ = envs.step(state, np.array([0.0]))
     assert reward == 0.0
     assert obs == pytest.approx([1.0, 0.0, 0.0])
@@ -73,14 +73,14 @@ def test_pendulum_hand_evaluated_step():
     th_new = theta + td_new * dt
     expected_reward = -(th_new ** 2 + 0.1 * td_new ** 2 + 0.001 * u ** 2)
 
-    state = envs.EnvState("pendulum-v0", np.array([theta, theta_dot]))
+    state = envs.EnvState("pendulum-v0", (theta, theta_dot))
     _, obs, reward, _ = envs.step(state, np.array([u]))
     assert obs == pytest.approx([math.cos(th_new), math.sin(th_new), td_new])
     assert reward == pytest.approx(expected_reward)
 
 
 def test_pendulum_speed_clamp():
-    state = envs.EnvState("pendulum-v0", np.array([math.pi / 2, 7.9]))
+    state = envs.EnvState("pendulum-v0", (math.pi / 2, 7.9))
     _, obs, _, _ = envs.step(state, np.array([2.0]))
     assert obs[2] == 8.0
 

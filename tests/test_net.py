@@ -318,8 +318,7 @@ def trainer_networks(rng):
     critic rows give, so the one-unit output layers see them."""
     nets = []
     for out_act, n in (("sigmoid", 256), ("tanh", 128)):
-        dims = net.mlp_dims(3, 1)
-        p = net.init_network(dims, net.mlp_activations(len(dims) - 2, out_act), rng)
+        p = net.init_mlp(3, 1, out_act, rng)
         p.set_flat(p.get_flat() + 0.1 * rng.standard_normal(p.n_params))
         upstream = rng.standard_normal((n, 1))
         upstream[::7] = -0.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mimicrl import critic as critic_mod
-from mimicrl import trainer
+from mimicrl import net, trainer
 from mimicrl.data import ReplayBuffer, load_dataset
 from mimicrl.envs import env_spec
 from mimicrl.errors import ExpertGenerationError, NonFiniteError
@@ -216,6 +216,21 @@ def test_update_accounting_matches_episode_lengths(dataset, tmp_path):
     trainer.train(cfg, dataset, out_dir=tmp_path)
     episodes = [int(r["episode"]) for r in read_metrics(tmp_path)]
     assert episodes == [e for e in (1, 2, 3) for _ in range(200)]
+
+
+def test_train_writes_each_checkpoint_once_per_evaluation(dataset, tmp_path,
+                                                          monkeypatch):
+    saved = []
+    real_save = net.save_checkpoint
+
+    def counting_save(params, path, extra=None):
+        saved.append(path)
+        real_save(params, path, extra)
+
+    monkeypatch.setattr(net, "save_checkpoint", counting_save)
+    result = trainer.train(small_config(max_episodes=3), dataset, out_dir=tmp_path)
+    assert len(result.metrics.eval_rows) == 2   # episodes 2 and 3
+    assert len(saved) == 3 * len(result.metrics.eval_rows)
 
 
 def test_train_is_bit_identical_across_runs(dataset, tmp_path):
