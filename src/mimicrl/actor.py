@@ -29,10 +29,6 @@ class ActorPolicy:
     def obs_dim(self):
         return self.params.n_in - self.noise_dim
 
-    @property
-    def act_dim(self):
-        return self.params.n_out
-
     def eval_action(self, obs):
         """Deterministic evaluation-mode action (noise at its mode, z = 0)."""
         return act(self, obs, np.zeros(self.noise_dim))

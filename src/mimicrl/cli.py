@@ -19,7 +19,7 @@ from dataclasses import asdict
 
 from . import net, objectives, trainer
 from .actor import load_actor
-from .data import load_dataset
+from .data import load_dataset, metadata
 from .envs import env_spec
 from .errors import MimicError
 
@@ -70,8 +70,8 @@ def cmd_train_bc(args):
     objectives.save_config(asdict(config), os.path.join(args.out, "config.json"))
     ckpt = os.path.join(args.out, "bc.ckpt")
     objectives.save_bc_policy(policy, ckpt)
-    lines = ["step,nll\n"] + [f"{step_i},{nll!r}\n" for step_i, nll in history]
-    net.save_text("".join(lines), os.path.join(args.out, "nll_history.csv"))
+    with net.atomic_open(os.path.join(args.out, "nll_history.csv")) as f:
+        f.write("".join(["step,nll\n"] + [f"{i},{nll!r}\n" for i, nll in history]))
     print(f"wrote {ckpt}: final nll {history[-1][1]:.6f}")
     return 0
 
@@ -100,23 +100,11 @@ def cmd_eval(args):
 
 def cmd_inspect(args):
     dataset = load_dataset(args.data)
-    mean, lo, hi = dataset.return_stats
-    doc = {
-        "config": {"command": "inspect", "data": args.data},
-        "env_id": dataset.spec.env_id,
-        "obs_dim": dataset.spec.obs_dim,
-        "act_dim": dataset.spec.act_dim,
-        "horizon": dataset.spec.horizon,
-        "n_trajectories": dataset.n_trajectories,
-        "n_transitions": len(dataset),
-        "filter_threshold": dataset.filter_threshold,
-        "return_mean": mean,
-        "return_min": lo,
-        "return_max": hi,
-    }
     if args.json:
-        print(json.dumps(doc))
+        print(json.dumps({"config": {"command": "inspect", "data": args.data},
+                          **metadata(dataset), "n_transitions": len(dataset)}))
     else:
+        mean, lo, hi = dataset.return_stats
         print(f"{args.data}: {dataset.spec.env_id}, "
               f"{dataset.n_trajectories} trajectories x {dataset.spec.horizon} steps")
         print(f"returns: mean {mean:.3f}, min {lo:.3f}, max {hi:.3f} "

@@ -49,11 +49,10 @@ def q_batch(critic, sa, want_cache=False):
     when want_cache is set.
     """
     eps = critic.clamp_eps
+    out = net.forward_batch(critic.params, sa, want_cache=want_cache)
     if want_cache:
-        out, cache = net.forward_batch(critic.params, sa, want_cache=True)
-        raw = out[:, 0]
-    else:
-        raw = net.forward_batch(critic.params, sa)[:, 0]
+        out, cache = out
+    raw = out[:, 0]
     # the clip, as two passes that skip np.clip's dispatch
     q = np.maximum(raw, eps)
     np.minimum(q, 1.0 - eps, out=q)
@@ -199,9 +198,3 @@ def soft_update(main, target, tau):
 
 def save_critic(critic, path):
     net.save_checkpoint(critic.params, path, extra={"clamp_eps": critic.clamp_eps})
-
-
-def load_critic(path):
-    params, doc = net.load_checkpoint(path)
-    with net.checkpoint_errors(path):
-        return CriticNet(params=params, clamp_eps=float(doc["clamp_eps"]))

@@ -190,11 +190,12 @@ class ExpertDataset:
         return self._arrays
 
 
-def save_dataset(dataset, path):
-    """Write dataset to path as JSON lines, atomically."""
+def metadata(dataset):
+    """The dataset file's line 1: env metadata and return stats, keyed
+    in METADATA_KEYS order."""
     spec = dataset.spec
     mean, lo, hi = dataset.return_stats
-    meta = {
+    return {
         "env_id": spec.env_id,
         "obs_dim": spec.obs_dim,
         "act_dim": spec.act_dim,
@@ -207,8 +208,12 @@ def save_dataset(dataset, path):
         "return_min": lo,
         "return_max": hi,
     }
+
+
+def save_dataset(dataset, path):
+    """Write dataset to path as JSON lines, atomically."""
     with net.atomic_open(path) as f:
-        f.write(json.dumps(meta) + "\n")
+        f.write(json.dumps(metadata(dataset)) + "\n")
         for tr in dataset.transitions:
             rec = {
                 "traj_id": tr.traj_id,
@@ -242,18 +247,26 @@ def load_dataset(path):
         raise DatasetFormatError("empty dataset file", line=1)
     meta = _parse_line(lines[0], 1, METADATA_KEYS)
     try:
-        spec = env_spec(meta["env_id"])
-    except KeyError:
-        # datasets for unregistered envs still load if metadata is complete
-        spec = EnvSpec(
-            env_id=meta["env_id"],
-            obs_dim=int(meta["obs_dim"]),
-            act_dim=int(meta["act_dim"]),
-            action_low=np.asarray(meta["action_low"], dtype=np.float64),
-            action_high=np.asarray(meta["action_high"], dtype=np.float64),
-            horizon=int(meta["horizon"]),
-            dt=0.0,
-        )
+        if not isinstance(meta["env_id"], str):
+            raise TypeError(f"env_id must be a string, got {meta['env_id']!r}")
+        threshold = float(meta["filter_threshold"])
+        recorded = [(key, float(meta[key]))
+                    for key in ("return_mean", "return_min", "return_max")]
+        try:
+            spec = env_spec(meta["env_id"])
+        except KeyError:
+            # datasets for unregistered envs still load if metadata is complete
+            spec = EnvSpec(
+                env_id=meta["env_id"],
+                obs_dim=int(meta["obs_dim"]),
+                act_dim=int(meta["act_dim"]),
+                action_low=np.asarray(meta["action_low"], dtype=np.float64),
+                action_high=np.asarray(meta["action_high"], dtype=np.float64),
+                horizon=int(meta["horizon"]),
+                dt=0.0,
+            )
+    except (TypeError, ValueError) as e:
+        raise DatasetFormatError(f"bad metadata value: {e}", line=1) from None
     if spec.obs_dim != meta["obs_dim"] or spec.act_dim != meta["act_dim"] \
             or spec.horizon != meta["horizon"]:
         raise DatasetFormatError(
@@ -265,36 +278,36 @@ def load_dataset(path):
         if not raw.strip():
             raise DatasetFormatError("blank line inside dataset", line=line_no)
         rec = _parse_line(raw, line_no, TRANSITION_KEYS)
-        obs = np.asarray(rec["obs"], dtype=np.float64)
-        act = np.asarray(rec["act"], dtype=np.float64)
-        next_obs = np.asarray(rec["next_obs"], dtype=np.float64)
-        if obs.shape != (spec.obs_dim,) or next_obs.shape != (spec.obs_dim,):
-            raise DatasetFormatError(
-                f"obs length {obs.shape} does not match obs_dim {spec.obs_dim}",
-                line=line_no,
-            )
-        if act.shape != (spec.act_dim,):
-            raise DatasetFormatError(
-                f"act length {act.shape} does not match act_dim {spec.act_dim}",
-                line=line_no,
-            )
-        transitions.append(
-            Transition(
-                obs=obs, act=act, next_obs=next_obs,
+        try:
+            tr = Transition(
+                obs=np.asarray(rec["obs"], dtype=np.float64),
+                act=np.asarray(rec["act"], dtype=np.float64),
+                next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
                 done=bool(rec["done"]), reward=float(rec["reward"]),
                 traj_id=int(rec["traj_id"]), t=int(rec["t"]),
             )
-        )
-    dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
+        except (TypeError, ValueError) as e:
+            raise DatasetFormatError(f"bad transition value: {e}", line=line_no) from None
+        if tr.obs.shape != (spec.obs_dim,) or tr.next_obs.shape != (spec.obs_dim,):
+            raise DatasetFormatError(
+                f"obs length {tr.obs.shape} does not match obs_dim {spec.obs_dim}",
+                line=line_no,
+            )
+        if tr.act.shape != (spec.act_dim,):
+            raise DatasetFormatError(
+                f"act length {tr.act.shape} does not match act_dim {spec.act_dim}",
+                line=line_no,
+            )
+        transitions.append(tr)
+    dataset = ExpertDataset(spec, transitions, threshold)
     if dataset.n_trajectories != meta["n_trajectories"]:
         raise DatasetFormatError(
             f"file holds {dataset.n_trajectories} trajectories, metadata says "
             f"{meta['n_trajectories']}", line=1,
         )
-    mean, lo, hi = dataset.return_stats
-    for key, value in (("return_mean", mean), ("return_min", lo), ("return_max", hi)):
-        if abs(meta[key] - value) > 1e-9:
+    for (key, value), actual in zip(recorded, dataset.return_stats):
+        if abs(value - actual) > 1e-9:
             raise DatasetFormatError(
-                f"{key} {meta[key]} does not match recomputed value {value}", line=1,
+                f"{key} {value} does not match recomputed value {actual}", line=1,
             )
     return dataset

@@ -73,6 +73,8 @@ _G = 10.0
 _M = 1.0
 _L = 1.0
 _MAX_SPEED = 8.0
+# gravity's angular acceleration per unit sin(theta)
+_GRAVITY_ACC = 3.0 * _G / (2.0 * _L)
 
 # linereacher constants
 _MAX_VEL = 2.0
@@ -165,7 +167,7 @@ def step(state, action):
         p0, p1 = x_new, v_new
     else:
         theta, theta_dot = state.phys
-        theta_acc = (3.0 * _G / (2.0 * _L)) * math.sin(theta) + (3.0 / (_M * _L * _L)) * a
+        theta_acc = _GRAVITY_ACC * math.sin(theta) + (3.0 / (_M * _L * _L)) * a
         theta_dot_new = min(max(theta_dot + theta_acc * spec.dt, -_MAX_SPEED), _MAX_SPEED)
         theta_new = theta + theta_dot_new * spec.dt
         reward = -(
@@ -187,19 +189,19 @@ def expert_action(env_id, observation):
         raise ActionBoundsError(
             f"observation shape {obs.shape} does not match obs_dim {spec.obs_dim}"
         )
+    [(low, high)] = _ACTION_BOUNDS[env_id]   # one action component
     if env_id == "linereacher-v0":
         x, v = obs.tolist()
-        a = -4.0 * x - 3.0 * v
-        return np.array([min(max(a, -1.0), 1.0)])
-    cos_t, sin_t, theta_dot = obs.tolist()
-    theta = wrap_angle(math.atan2(sin_t, cos_t))
-    scale = 3.0 * _G / (2.0 * _L)
-    if abs(theta) < 0.3 and abs(theta_dot) < 2.0:
-        u = -16.0 * theta - 4.0 * theta_dot
+        u = -4.0 * x - 3.0 * v
     else:
-        energy = 0.5 * theta_dot * theta_dot - scale * cos_t
-        u = 6.0 * theta_dot * (scale - energy)
-    return np.array([min(max(u, -2.0), 2.0)])
+        cos_t, sin_t, theta_dot = obs.tolist()
+        theta = wrap_angle(math.atan2(sin_t, cos_t))
+        if abs(theta) < 0.3 and abs(theta_dot) < 2.0:
+            u = -16.0 * theta - 4.0 * theta_dot
+        else:
+            energy = 0.5 * theta_dot * theta_dot - _GRAVITY_ACC * cos_t
+            u = 6.0 * theta_dot * (_GRAVITY_ACC - energy)
+    return np.array([min(max(u, low), high)])
 
 
 def rollout(env_id, seed, action_fn):

@@ -313,6 +313,12 @@ def input_grad_batch(params, upstream, cache):
     return _backprop(params, upstream, cache, None)
 
 
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """Bias-corrected Adam over a flat parameter vector."""
@@ -321,9 +327,6 @@ class AdamState:
     second_moment: np.ndarray
     step_count: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_adam: float = 1e-8
 
     @classmethod
     def for_params(cls, n, lr):
@@ -348,19 +351,19 @@ def adam_step(state, flat, grads):
     t = state.step_count + 1
     m, v = state.first_moment, state.second_moment
     # m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g
-    m *= state.beta1
-    step = (1.0 - state.beta1) * grads
+    m *= ADAM_BETA1
+    step = (1.0 - ADAM_BETA1) * grads
     m += step
-    v *= state.beta2
-    np.multiply(1.0 - state.beta2, grads, out=step)
+    v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grads, out=step)
     step *= grads
     v += step
     # flat -= lr m_hat / (sqrt(v_hat) + eps)
-    np.divide(m, 1.0 - state.beta1 ** t, out=step)
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=step)
     step *= state.lr
-    denom = v / (1.0 - state.beta2 ** t)
+    denom = v / (1.0 - ADAM_BETA2 ** t)
     np.sqrt(denom, out=denom)
-    denom += state.eps_adam
+    denom += ADAM_EPS
     step /= denom
     flat -= step
     state.step_count = t
@@ -445,12 +448,6 @@ def save_json(doc, path, **dump_kwargs):
     with atomic_open(path) as f:
         json.dump(doc, f, **dump_kwargs)
         f.write("\n")
-
-
-def save_text(text, path):
-    """Write the string text to path, atomically."""
-    with atomic_open(path) as f:
-        f.write(text)
 
 
 def save_checkpoint(params, path, extra=None):

@@ -11,11 +11,12 @@ both target networks.
 
 Everything downstream of the config seed is deterministic: a fixed
 (config, dataset) pair reproduces metrics and checkpoints byte for
-byte. Per-update rows are streamed to metrics.csv only; the returned
-RunMetrics keeps the evaluation rows. No update reads a reward: the
-replay buffer does not store one, and the trainer sees the expert
-dataset only through reward-free TransitionArrays. Rewards feed only
-evaluation and expert-data filtering.
+byte. Per-update rows are streamed to metrics.csv only; ``train``
+returns the LearnerState it trained, whose RunMetrics keeps the
+evaluation rows. No update reads a reward: the replay buffer does not
+store one, and the trainer sees the expert dataset only through
+reward-free TransitionArrays. Rewards feed only evaluation and
+expert-data filtering.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ class RunMetrics:
 
 @dataclass
 class LearnerState:
+    """One run's networks, optimizers, step counters and eval rows."""
+
     actor: actor_mod.ActorPolicy
     critic1: critic_mod.CriticNet
     critic2: critic_mod.CriticNet
@@ -92,15 +95,8 @@ class LearnerState:
     opt_critic1: net.AdamState
     opt_critic2: net.AdamState
     global_step: int = 0
-
-
-@dataclass
-class TrainResult:
-    actor: actor_mod.ActorPolicy
-    critic1: critic_mod.CriticNet
-    critic2: critic_mod.CriticNet
-    metrics: RunMetrics
-    env_steps: int
+    env_steps: int = 0
+    metrics: RunMetrics = field(default_factory=RunMetrics)
 
 
 def build_learner(config, rng):
@@ -213,6 +209,8 @@ def evaluate(policy, env_id, n_episodes, seed):
     Returns (mean_return, std_return, returns). std is the population
     standard deviation (0 for a single episode).
     """
+    if n_episodes < 1:
+        raise ValueError(f"need at least one evaluation episode, got {n_episodes}")
     returns = []
     for i in range(n_episodes):
         _, total = rollout(env_id, seed + i, policy.eval_action)
@@ -248,12 +246,13 @@ def _write_checkpoints(state, out_dir):
 
 
 def train(config, dataset, out_dir=None, verbose=False):
-    """Run the full loop for config.max_episodes episodes.
+    """Run the full loop for config.max_episodes episodes; returns the
+    trained LearnerState.
 
     When out_dir is given, writes config.json up front, appends
     metrics.csv / eval.csv incrementally, and refreshes checkpoints at
     every evaluation (the last episode is always evaluated). The
-    per-update rows go to metrics.csv only; the result's metrics hold
+    per-update rows go to metrics.csv only; the state's metrics hold
     the evaluation rows.
     """
     config.check_dataset(dataset)
@@ -262,10 +261,8 @@ def train(config, dataset, out_dir=None, verbose=False):
     state = build_learner(config, rng)
     buffer = ReplayBuffer(config.buffer_capacity, spec.obs_dim, spec.act_dim)
     expert_views = dataset.training_arrays()
-    metrics = RunMetrics()
 
     update_csv = eval_csv = None
-    env_steps = 0
     eval_seed = config.seed + EVAL_SEED_OFFSET
     try:
         if out_dir is not None:
@@ -276,7 +273,7 @@ def train(config, dataset, out_dir=None, verbose=False):
         for episode in range(1, config.max_episodes + 1):
             t = collect_episode(config.env_id, state.actor, buffer, rng,
                                 traj_id=episode)
-            env_steps += t
+            state.env_steps += t
             for _ in range(t):
                 row = update_step(state, expert_views, buffer, config, rng,
                                   episode=episode)
@@ -287,13 +284,13 @@ def train(config, dataset, out_dir=None, verbose=False):
                     state.actor, config.env_id, config.eval_episodes, eval_seed)
                 eval_row = {"episode": episode, "mean_return": mean_ret,
                             "std_return": std_ret}
-                metrics.eval_rows.append(eval_row)
+                state.metrics.eval_rows.append(eval_row)
                 if eval_csv is not None:
                     eval_csv.append(eval_row)
                 if out_dir is not None:
                     _write_checkpoints(state, out_dir)
                 if verbose:
-                    print(f"episode {episode}: env_steps={env_steps} "
+                    print(f"episode {episode}: env_steps={state.env_steps} "
                           f"eval_return={mean_ret:.3f} +- {std_ret:.3f}")
                 if config.early_stop_return is not None \
                         and mean_ret >= config.early_stop_return:
@@ -307,10 +304,7 @@ def train(config, dataset, out_dir=None, verbose=False):
             if writer is not None:
                 writer.close()
 
-    return TrainResult(
-        actor=state.actor, critic1=state.critic1, critic2=state.critic2,
-        metrics=metrics, env_steps=env_steps,
-    )
+    return state
 
 
 def generate_expert(env_id, n_target, threshold, seed, out_path=None):

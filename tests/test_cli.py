@@ -67,11 +67,39 @@ def test_inspect_human_and_json(expert_file, capsys):
     assert doc["config"]["command"] == "inspect"
 
 
+def test_inspect_json_prints_the_file_metadata(expert_file, capsys):
+    assert cli.main(["inspect", "--data", str(expert_file), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc.pop("config") == {"command": "inspect", "data": str(expert_file)}
+    assert doc.pop("n_transitions") == 5 * 200
+    with open(expert_file, encoding="utf-8") as f:
+        assert doc == json.loads(f.readline())
+
+
 def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"not": "a dataset"}\n')
     assert cli.main(["inspect", "--data", str(bad)]) == 1
     assert "line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line_no,key,value", [
+    (1, "env_id", [1]),
+    (1, "filter_threshold", None),
+    (1, "return_mean", "x"),
+    (4, "traj_id", [1]),
+    (4, "reward", {}),
+    (4, "obs", ["a", "b"]),
+    (4, "t", "zz"),
+])
+def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
+                                                   line_no, key, value):
+    lines = expert_file.read_text().splitlines()
+    lines[line_no - 1] = json.dumps(dict(json.loads(lines[line_no - 1]), **{key: value}))
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    assert cli.main(["inspect", "--data", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
 
 
 def write_config(tmp_path, **kw):
@@ -251,6 +279,20 @@ def test_eval_actor_checkpoint_human_output(expert_file, tmp_path, capsys):
                    "--env", "linereacher-v0", "--episodes", "2", "--seed", "0"])
     assert rc == 0
     assert "mean return" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("episodes", ["0", "-3"])
+@pytest.mark.parametrize("as_json", [True, False])
+def test_eval_fewer_than_one_episode_exit_1(tmp_path, capsys, episodes, as_json):
+    path = tmp_path / "actor.ckpt"
+    actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),
+                                      np.random.default_rng(0)), path)
+    argv = ["eval", "--actor", str(path), "--env", "linereacher-v0",
+            f"--episodes={episodes}"] + (["--json"] if as_json else [])
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one evaluation episode" in err
 
 
 def test_eval_unreadable_checkpoint_exit_1(tmp_path, capsys):

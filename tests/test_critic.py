@@ -406,6 +406,6 @@ def test_critic_checkpoint_round_trip(tmp_path):
     c = random_critic(30)
     path = tmp_path / "critic.ckpt"
     critic.save_critic(c, path)
-    back = critic.load_critic(path)
-    assert back.clamp_eps == c.clamp_eps
-    assert np.array_equal(back.params.get_flat(), c.params.get_flat())
+    params, doc = net.load_checkpoint(path)
+    assert doc["clamp_eps"] == c.clamp_eps
+    assert np.array_equal(params.get_flat(), c.params.get_flat())

@@ -129,6 +129,13 @@ def test_save_load_second_round_trip_identical_bytes(tmp_path):
     assert (tmp_path / "again.jsonl").read_bytes() == first
 
 
+def test_metadata_is_the_first_line_in_key_order(tmp_path):
+    ds = expert_fixture(tmp_path)
+    first = (tmp_path / "exp.jsonl").read_text().splitlines()[0]
+    assert json.dumps(data.metadata(ds)) == first
+    assert tuple(data.metadata(ds)) == data.METADATA_KEYS
+
+
 def test_save_failure_keeps_previous_bytes(tmp_path, monkeypatch):
     ds = expert_fixture(tmp_path)
     path = tmp_path / "exp.jsonl"

@@ -374,7 +374,7 @@ def test_adam_step_matches_reference_bit_for_bit():
     flat = p.get_flat()
     m = np.zeros(p.n_params)
     v = np.zeros(p.n_params)
-    b1, b2, eps = st.beta1, st.beta2, st.eps_adam
+    b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
     for t in range(1, 6):
         g = rng.standard_normal(p.n_params)
         g_before = g.copy()

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
 from mimicrl import net, trainer
 from mimicrl.data import ReplayBuffer, load_dataset
@@ -211,6 +212,16 @@ def test_train_one_episode_yields_exactly_horizon_updates(dataset, tmp_path):
     assert [int(r["global_step"]) for r in rows] == list(range(1, 201))
 
 
+def test_train_returns_the_learner_state_it_trained(dataset):
+    state = trainer.train(small_config(max_episodes=2), dataset)
+    assert isinstance(state, trainer.LearnerState)
+    # one update per env step, and one Adam step per net per update
+    assert state.global_step == state.env_steps == 400
+    for opt in (state.opt_actor, state.opt_critic1, state.opt_critic2):
+        assert opt.step_count == state.global_step
+    assert [row["episode"] for row in state.metrics.eval_rows] == [2]
+
+
 def test_update_accounting_matches_episode_lengths(dataset, tmp_path):
     cfg = small_config(max_episodes=3)
     trainer.train(cfg, dataset, out_dir=tmp_path)
@@ -315,6 +326,13 @@ def test_evaluate_single_episode_zero_std():
     assert len(returns) == 1
     again = trainer.evaluate(ZeroPolicy(), "linereacher-v0", 1, 0)
     assert again[0] == mean
+
+
+@pytest.mark.parametrize("n_episodes", [0, -3])
+def test_evaluate_rejects_fewer_than_one_episode(n_episodes):
+    policy = actor_mod.make_actor(env_spec("linereacher-v0"), np.random.default_rng(0))
+    with pytest.raises(ValueError, match="at least one evaluation episode"):
+        trainer.evaluate(policy, "linereacher-v0", n_episodes, 0)
 
 
 def test_generate_expert_threshold_minus_inf_keeps_first_n():
