@@ -115,9 +115,11 @@ def save_actor(policy, path):
 def load_actor(path):
     params, doc = net.load_checkpoint(path)
     with net.checkpoint_errors(path):
+        net.check_json_types(doc, {"noise_dim": "int", "action_center": "floats",
+                                   "action_halfwidth": "floats"})
         return ActorPolicy(
             params=params,
-            noise_dim=int(doc["noise_dim"]),
+            noise_dim=doc["noise_dim"],
             action_center=np.asarray(doc["action_center"], dtype=np.float64),
             action_halfwidth=np.asarray(doc["action_halfwidth"], dtype=np.float64),
             env_id=doc.get("env_id", ""),

@@ -12,7 +12,9 @@ and every following line is one transition::
     {"traj_id", "t", "obs", "act", "next_obs", "done", "reward"}
 
 json round-trips float64 exactly (repr encoding), so save followed by
-load reproduces every value bit for bit.
+load reproduces every value bit for bit. ``load_dataset`` takes the env
+from the registry, checks every value's JSON type, and requires line 1
+to equal ``metadata`` of the dataset it read (return stats to 1e-9).
 
 Of stored data, only expert datasets keep rewards. The return filter runs
 once, in ``trainer.generate_expert``; ExpertDataset checks that every
@@ -25,19 +27,25 @@ read a reward.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import net
-from .envs import EnvSpec, env_spec
-from .errors import DatasetFormatError, DimensionMismatch
+from .envs import env_spec
+from .errors import DatasetFormatError, DimensionMismatch, UnknownEnvError
 
-METADATA_KEYS = (
-    "env_id", "obs_dim", "act_dim", "action_low", "action_high", "horizon",
-    "n_trajectories", "filter_threshold", "return_mean", "return_min", "return_max",
-)
-TRANSITION_KEYS = ("traj_id", "t", "obs", "act", "next_obs", "done", "reward")
+# each line's keys, in file order, with their JSON kinds (net.check_json_types)
+_METADATA_KINDS = {
+    "env_id": "str", "obs_dim": "int", "act_dim": "int", "action_low": "floats",
+    "action_high": "floats", "horizon": "int", "n_trajectories": "int",
+    "filter_threshold": "float", "return_mean": "float", "return_min": "float",
+    "return_max": "float",
+}
+METADATA_KEYS = tuple(_METADATA_KINDS)
+_TRANSITION_KINDS = {"traj_id": "int", "t": "int", "obs": "floats", "act": "floats",
+                     "next_obs": "floats", "done": "bool", "reward": "float"}
 
 
 @dataclass
@@ -124,18 +132,6 @@ class ReplayBuffer:
         return self._rows.take(rng.integers(0, self._size, size=batch_size))
 
 
-def trajectory_return(trajectory):
-    return sum(tr.reward for tr in trajectory)
-
-
-def group_trajectories(transitions):
-    """Group a flat transition list by traj_id, each sorted by t."""
-    by_id = {}
-    for tr in transitions:
-        by_id.setdefault(tr.traj_id, []).append(tr)
-    return [sorted(by_id[k], key=lambda tr: tr.t) for k in sorted(by_id)]
-
-
 class ExpertDataset:
     """Static buffer of filtered expert trajectories plus env metadata."""
 
@@ -143,29 +139,35 @@ class ExpertDataset:
         self.spec = spec
         self.transitions = list(transitions)
         self.filter_threshold = float(filter_threshold)
-        trajs = group_trajectories(self.transitions)
-        if not trajs:
+        by_id = {}
+        for tr in self.transitions:
+            by_id.setdefault(tr.traj_id, []).append(tr)
+        if not by_id:
             raise DatasetFormatError("dataset contains no trajectories")
-        for traj in trajs:
+        returns = []
+        for traj_id in sorted(by_id):
+            traj = sorted(by_id[traj_id], key=lambda tr: tr.t)
             ts = [tr.t for tr in traj]
             if ts != list(range(spec.horizon)):
+                want, got = Counter(range(spec.horizon)), Counter(ts)
                 raise DatasetFormatError(
-                    f"trajectory {traj[0].traj_id} is incomplete: expected "
-                    f"t = 0..{spec.horizon - 1}, got {len(ts)} steps"
+                    f"trajectory {traj_id} is incomplete: expected t = 0..{spec.horizon - 1}"
+                    f" once each; missing t = {sorted((want - got).elements())}, extra "
+                    f"t = {sorted((got - want).elements())}"
                 )
             for tr in traj:
                 if tr.done != (tr.t == spec.horizon - 1):
                     raise DatasetFormatError(
-                        f"trajectory {tr.traj_id}: done flag at t={tr.t} "
+                        f"trajectory {traj_id}: done flag at t={tr.t} "
                         f"inconsistent with horizon {spec.horizon}"
                     )
-        returns = [trajectory_return(traj) for traj in trajs]
+            returns.append(sum(tr.reward for tr in traj))
         if min(returns) <= self.filter_threshold:
             raise DatasetFormatError(
                 f"trajectory return {min(returns)} does not exceed the recorded "
                 f"filter threshold {self.filter_threshold}"
             )
-        self.n_trajectories = len(trajs)
+        self.n_trajectories = len(returns)
         self.return_stats = (
             float(np.mean(returns)), float(min(returns)), float(max(returns)),
         )
@@ -227,67 +229,49 @@ def save_dataset(dataset, path):
             f.write(json.dumps(rec) + "\n")
 
 
-def _parse_line(raw, line_no, keys):
+def _parse_line(raw, line_no, kinds):
+    """The JSON object on line line_no, once it has every key of kinds and
+    each value has its kind's JSON type."""
     try:
         doc = json.loads(raw)
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"malformed JSON ({e.msg})", line=line_no) from None
     if not isinstance(doc, dict):
         raise DatasetFormatError("expected a JSON object", line=line_no)
-    missing = [k for k in keys if k not in doc]
-    if missing:
+    if not doc.keys() >= kinds.keys():
+        missing = [k for k in kinds if k not in doc]
         raise DatasetFormatError(f"missing keys {missing}", line=line_no)
+    try:
+        net.check_json_types(doc, kinds)
+    except TypeError as e:
+        raise DatasetFormatError(f"bad value: {e}", line=line_no) from None
     return doc
 
 
 def load_dataset(path):
+    """Read a dataset file; its env must be registered, and line 1 must
+    equal ``metadata`` of what the records hold."""
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     if not lines:
         raise DatasetFormatError("empty dataset file", line=1)
-    meta = _parse_line(lines[0], 1, METADATA_KEYS)
+    meta = _parse_line(lines[0], 1, _METADATA_KINDS)
     try:
-        if not isinstance(meta["env_id"], str):
-            raise TypeError(f"env_id must be a string, got {meta['env_id']!r}")
-        threshold = float(meta["filter_threshold"])
-        recorded = [(key, float(meta[key]))
-                    for key in ("return_mean", "return_min", "return_max")]
-        try:
-            spec = env_spec(meta["env_id"])
-        except KeyError:
-            # datasets for unregistered envs still load if metadata is complete
-            spec = EnvSpec(
-                env_id=meta["env_id"],
-                obs_dim=int(meta["obs_dim"]),
-                act_dim=int(meta["act_dim"]),
-                action_low=np.asarray(meta["action_low"], dtype=np.float64),
-                action_high=np.asarray(meta["action_high"], dtype=np.float64),
-                horizon=int(meta["horizon"]),
-                dt=0.0,
-            )
-    except (TypeError, ValueError) as e:
-        raise DatasetFormatError(f"bad metadata value: {e}", line=1) from None
-    if spec.obs_dim != meta["obs_dim"] or spec.act_dim != meta["act_dim"] \
-            or spec.horizon != meta["horizon"]:
-        raise DatasetFormatError(
-            f"metadata dims {(meta['obs_dim'], meta['act_dim'], meta['horizon'])} do not "
-            f"match registered env {meta['env_id']}", line=1,
-        )
+        spec = env_spec(meta["env_id"])
+    except UnknownEnvError as e:
+        raise DatasetFormatError(e.args[0], line=1) from None
     transitions = []
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             raise DatasetFormatError("blank line inside dataset", line=line_no)
-        rec = _parse_line(raw, line_no, TRANSITION_KEYS)
-        try:
-            tr = Transition(
-                obs=np.asarray(rec["obs"], dtype=np.float64),
-                act=np.asarray(rec["act"], dtype=np.float64),
-                next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
-                done=bool(rec["done"]), reward=float(rec["reward"]),
-                traj_id=int(rec["traj_id"]), t=int(rec["t"]),
-            )
-        except (TypeError, ValueError) as e:
-            raise DatasetFormatError(f"bad transition value: {e}", line=line_no) from None
+        rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
+        tr = Transition(
+            obs=np.asarray(rec["obs"], dtype=np.float64),
+            act=np.asarray(rec["act"], dtype=np.float64),
+            next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
+            done=rec["done"], reward=float(rec["reward"]),
+            traj_id=rec["traj_id"], t=rec["t"],
+        )
         if tr.obs.shape != (spec.obs_dim,) or tr.next_obs.shape != (spec.obs_dim,):
             raise DatasetFormatError(
                 f"obs length {tr.obs.shape} does not match obs_dim {spec.obs_dim}",
@@ -299,15 +283,13 @@ def load_dataset(path):
                 line=line_no,
             )
         transitions.append(tr)
-    dataset = ExpertDataset(spec, transitions, threshold)
-    if dataset.n_trajectories != meta["n_trajectories"]:
-        raise DatasetFormatError(
-            f"file holds {dataset.n_trajectories} trajectories, metadata says "
-            f"{meta['n_trajectories']}", line=1,
-        )
-    for (key, value), actual in zip(recorded, dataset.return_stats):
-        if abs(value - actual) > 1e-9:
+    dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
+    for key, value in metadata(dataset).items():
+        recorded = meta[key]
+        if recorded != value and not (key.startswith("return_")
+                                      and abs(recorded - value) <= 1e-9):
             raise DatasetFormatError(
-                f"{key} {value} does not match recomputed value {actual}", line=1,
+                f"{key} is {recorded!r}, but the env and records give {value!r}",
+                line=1,
             )
     return dataset

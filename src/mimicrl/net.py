@@ -4,7 +4,8 @@ Provides exactly what the rest of the library needs and nothing more:
 layered affine+activation networks, reverse-mode gradients with respect
 to the parameters (``backward_batch``) or to the inputs
 (``input_grad_batch``), a bias-corrected Adam optimizer, a
-central-difference gradient checker, and a JSON checkpoint format.
+central-difference gradient checker, and a JSON checkpoint format whose
+reader, like the dataset reader, checks each value's JSON type.
 
 Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
@@ -22,6 +23,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -390,40 +392,6 @@ def finite_diff_check(fn, point, analytic_grad, step=1e-5):
     return worst
 
 
-def checkpoint_dict(params, extra=None):
-    doc = {
-        "layers": [
-            {
-                "in": l.n_in,
-                "out": l.n_out,
-                "activation": l.activation,
-                "weights": l.weights.ravel().tolist(),
-                "bias": l.bias.tolist(),
-            }
-            for l in params.layers
-        ]
-    }
-    if extra:
-        doc.update(extra)
-    return doc
-
-
-def params_from_dict(doc):
-    layers = []
-    for spec in doc["layers"]:
-        w = np.asarray(spec["weights"], dtype=np.float64)
-        if w.size != spec["in"] * spec["out"]:
-            raise DimensionMismatch(
-                f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
-            )
-        layers.append(
-            Layer(w.reshape(spec["out"], spec["in"]), np.asarray(spec["bias"]), spec["activation"])
-        )
-    if not layers:
-        raise DimensionMismatch("'layers' holds no layer")
-    return NetworkParams(layers)
-
-
 @contextlib.contextmanager
 def atomic_open(path):
     """Text file to fill in place of path, which it replaces on success.
@@ -451,7 +419,42 @@ def save_json(doc, path, **dump_kwargs):
 
 
 def save_checkpoint(params, path, extra=None):
-    save_json(checkpoint_dict(params, extra), path)
+    """Write params, then the keys of extra, as one JSON document."""
+    layers = [
+        {
+            "in": l.n_in,
+            "out": l.n_out,
+            "activation": l.activation,
+            "weights": l.weights.ravel().tolist(),
+            "bias": l.bias.tolist(),
+        }
+        for l in params.layers
+    ]
+    save_json({"layers": layers, **(extra or {})}, path)
+
+
+# the Python types json.load gives the values each kind takes, matched by
+# exact type so that true and false pass only as a bool: an integer for an
+# int, any number for a float (JsonConfig's rule for parsed JSON); the kind
+# "floats" is a list of numbers
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+_NUMBER_TYPES = frozenset(_JSON_TYPES["float"])
+_KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false",
+               "str": "a string", "floats": "a list of numbers"}
+_LAYER_KINDS = {"in": "int", "out": "int", "weights": "floats", "bias": "floats"}
+
+
+def check_json_types(doc, kinds):
+    """Raise TypeError unless each doc[key] has the JSON type kinds[key]
+    names (KeyError if the key is missing)."""
+    for key, kind in kinds.items():
+        value = doc[key]
+        if kind == "floats":
+            ok = type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+        else:
+            ok = type(value) in _JSON_TYPES[kind]
+        if not ok:
+            raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
 
 
 @contextlib.contextmanager
@@ -470,4 +473,16 @@ def load_checkpoint(path):
     """Load a checkpoint JSON; returns (params, full document)."""
     with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
         doc = json.load(f)
-        return params_from_dict(doc), doc
+        layers = []
+        for spec in doc["layers"]:
+            check_json_types(spec, _LAYER_KINDS)
+            w = np.asarray(spec["weights"], dtype=np.float64)
+            if w.size != spec["in"] * spec["out"]:
+                raise DimensionMismatch(
+                    f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
+                )
+            layers.append(Layer(w.reshape(spec["out"], spec["in"]),
+                                np.asarray(spec["bias"]), spec["activation"]))
+        if not layers:
+            raise DimensionMismatch("'layers' holds no layer")
+        return NetworkParams(layers), doc

@@ -58,19 +58,17 @@ class GaussianBCPolicy:
     log_std: np.ndarray           # (act_dim,), state-independent
     action_low: np.ndarray
     action_high: np.ndarray
-    env_id: str = ""
 
     def eval_action(self, obs):
         return bc_act(self, obs)
 
 
-def make_bc_policy(spec, rng, hidden=(64, 64), log_std_init=0.0):
+def make_bc_policy(spec, rng, hidden=(64, 64)):
     return GaussianBCPolicy(
         mean_net=net.init_mlp(spec.obs_dim, spec.act_dim, "identity", rng, hidden),
-        log_std=np.full(spec.act_dim, float(log_std_init)),
+        log_std=np.zeros(spec.act_dim),
         action_low=np.asarray(spec.action_low, dtype=np.float64),
         action_high=np.asarray(spec.action_high, dtype=np.float64),
-        env_id=spec.env_id,
     )
 
 
@@ -113,7 +111,7 @@ def bc_act(policy, obs):
 # annotations, so a field's type is its source text); bool is an int
 # subclass, so true and false are rejected apart: no field takes them
 _JSON_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-               "list": list, "tuple": tuple, "None": type(None)}
+               "None": type(None)}
 
 
 def save_config(doc, path):
@@ -175,16 +173,11 @@ class BCConfig(JsonConfig):
     steps: int = 3000
     lr: float = 1e-3
     batch: int = 128
-    hidden: list | tuple = (64, 64)
-    log_std_init: float = 0.0
 
     def __post_init__(self):
         super().__post_init__()
         self._require_at_least_one("steps", "batch")
         self._require_unit_interval("lr")
-        if not all(type(h) is int and h >= 1 for h in self.hidden):
-            raise ValueError(
-                f"hidden must be a list of positive ints, got {self.hidden!r}")
 
 
 def train_bc(config, dataset):
@@ -195,10 +188,7 @@ def train_bc(config, dataset):
     """
     config.check_dataset(dataset)
     rng = np.random.default_rng(config.seed)
-    policy = make_bc_policy(
-        dataset.spec, rng, hidden=tuple(config.hidden),
-        log_std_init=config.log_std_init,
-    )
+    policy = make_bc_policy(dataset.spec, rng)
     views = dataset.training_arrays()
     opt_net = net.AdamState.for_params(policy.mean_net.n_params, lr=config.lr)
     opt_std = net.AdamState.for_params(policy.log_std.size, lr=config.lr)
@@ -221,10 +211,10 @@ def load_bc_policy(path, spec):
     """Load a BC checkpoint; action bounds come from the EnvSpec."""
     params, doc = net.load_checkpoint(path)
     with net.checkpoint_errors(path):
+        net.check_json_types(doc, {"log_std": "floats"})
         return GaussianBCPolicy(
             mean_net=params,
             log_std=np.asarray(doc["log_std"], dtype=np.float64),
             action_low=np.asarray(spec.action_low, dtype=np.float64),
             action_high=np.asarray(spec.action_high, dtype=np.float64),
-            env_id=spec.env_id,
         )

@@ -91,15 +91,70 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     (4, "reward", {}),
     (4, "obs", ["a", "b"]),
     (4, "t", "zz"),
+    (1, "action_high", [True]),
+    (4, "reward", "-0.5"),
+    (4, "done", "no"),
+    (4, "t", True),
+    (4, "traj_id", "0"),
+    (4, "obs", ["1", "2"]),
+    (4, "obs", [True, 0.5]),
 ])
 def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
                                                    line_no, key, value):
-    lines = expert_file.read_text().splitlines()
+    bad = edited_copy(expert_file, tmp_path, line_no, key, value)
+    assert cli.main(["inspect", "--data", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+
+
+def edited_copy(path, tmp_path, line_no, key, value):
+    """A copy of the dataset at path with line line_no's key set to value."""
+    lines = path.read_text().splitlines()
     lines[line_no - 1] = json.dumps(dict(json.loads(lines[line_no - 1]), **{key: value}))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
+    return bad
+
+
+@pytest.mark.parametrize("key,value,fault", [
+    ("env_id", "other-v0", "unknown env_id 'other-v0'"),
+    ("action_low", [-5.0], "action_low is [-5.0], but the env and records give [-1.0]"),
+    ("action_high", [2], "action_high is [2], but the env and records give [1.0]"),
+    ("obs_dim", 3, "obs_dim is 3, but the env and records give 2"),
+    ("horizon", 100, "horizon is 100, but the env and records give 200"),
+    ("n_trajectories", 4, "n_trajectories is 4, but the env and records give 5"),
+    ("return_max", 1.0, "return_max is 1.0, but the env and records give "),
+])
+def test_inspect_line_1_must_match_the_env_and_records(expert_file, tmp_path, capsys,
+                                                        key, value, fault):
+    bad = edited_copy(expert_file, tmp_path, 1, key, value)
     assert cli.main(["inspect", "--data", str(bad)]) == 1
-    assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
+    assert capsys.readouterr().err.startswith(f"error: line 1: {fault}")
+
+
+@pytest.mark.parametrize("key", ["obs_dim", "act_dim"])
+def test_inspect_boolean_dim_exit_1_as_a_wrong_type(expert_file, tmp_path, capsys, key):
+    bad = edited_copy(expert_file, tmp_path, 1, key, True)
+    assert cli.main(["inspect", "--data", str(bad)]) == 1
+    assert capsys.readouterr().err == \
+        f"error: line 1: bad value: {key} must be an integer, got True\n"
+
+
+def test_inspect_accepts_return_stats_within_tolerance(expert_file, tmp_path):
+    meta = json.loads(expert_file.read_text().splitlines()[0])
+    near = edited_copy(expert_file, tmp_path, 1, "return_mean", meta["return_mean"] + 1e-10)
+    assert cli.main(["inspect", "--data", str(near)]) == 0
+
+
+def test_train_bc_on_an_unregistered_env_exit_1(expert_file, tmp_path, capsys):
+    bad = edited_copy(expert_file, tmp_path, 1, "env_id", "other-v0")
+    cfg = tmp_path / "bc.json"
+    cfg.write_text(json.dumps({"env_id": "other-v0", "seed": 0, "steps": 5}))
+    out = tmp_path / "bc"
+    rc = cli.main(["train-bc", "--config", str(cfg), "--expert", str(bad),
+                   "--out", str(out)])
+    assert rc == 1
+    assert "line 1: unknown env_id 'other-v0'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_config(tmp_path, **kw):
@@ -313,8 +368,15 @@ def without(doc, key):
     (lambda doc: without(doc, "action_center"), "missing key 'action_center'"),
     (lambda doc: dict(doc, layers=5), "'int' object is not iterable"),
     (lambda doc: dict(doc, layers=[]), "'layers' holds no layer"),
+    (lambda doc: dict(doc, noise_dim="1"), "noise_dim must be an integer, got '1'"),
+    (lambda doc: dict(doc, noise_dim=True), "noise_dim must be an integer, got True"),
+    (lambda doc: dict(doc, action_center=["0"]),
+     "action_center must be a list of numbers, got ['0']"),
+    (lambda doc: dict(doc, layers=[dict(l, weights="0") for l in doc["layers"]]),
+     "weights must be a list of numbers, got '0'"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
-        "layers-empty"])
+        "layers-empty", "noise-dim-string", "noise-dim-bool", "action-center-strings",
+        "weights-string"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),

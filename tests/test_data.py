@@ -210,6 +210,18 @@ def test_dataset_rejects_incomplete_trajectory():
         data.ExpertDataset(spec, partial, -1000.0)
 
 
+def test_incomplete_trajectory_error_names_the_t_values(tmp_path):
+    expert_fixture(tmp_path)
+    lines = (tmp_path / "exp.jsonl").read_text().splitlines()
+    rec = json.loads(lines[3])   # trajectory 0, t = 2
+    rec["t"] = 1
+    lines[3] = json.dumps(rec)
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"trajectory 0 .*missing t = \[2\], extra t = \[1\]$"):
+        data.load_dataset(tmp_path / "bad.jsonl")
+
+
 def test_dataset_rejects_return_below_threshold():
     spec = env_spec("linereacher-v0")
     traj = [make_tr(i, horizon=200, reward=-1.0, traj_id=0) for i in range(200)]

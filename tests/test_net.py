@@ -399,7 +399,7 @@ def _assert_layers_view_flat(p):
         [np.concatenate([l.weights.ravel(), l.bias]) for l in p.layers]))
 
 
-def test_layer_arrays_are_views_into_flat():
+def test_layer_arrays_are_views_into_flat(tmp_path):
     rng = np.random.default_rng(9)
     p = net.init_network([3, 6, 2], ["relu", "sigmoid"], rng)
     _assert_layers_view_flat(p)
@@ -410,7 +410,8 @@ def test_layer_arrays_are_views_into_flat():
     q = p.copy()
     _assert_layers_view_flat(q)
     assert not np.shares_memory(q.flat, p.flat)
-    r = net.params_from_dict(net.checkpoint_dict(p))
+    net.save_checkpoint(p, tmp_path / "p.ckpt")
+    r, _ = net.load_checkpoint(tmp_path / "p.ckpt")
     _assert_layers_view_flat(r)
     assert np.array_equal(r.flat, p.flat)
     snapshot = p.get_flat()

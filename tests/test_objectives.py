@@ -78,7 +78,7 @@ def test_bc_gradients_match_finite_differences():
     def objective(flat):
         trial = objectives.GaussianBCPolicy(
             pol.mean_net.copy(), flat[pol.mean_net.n_params:].copy(),
-            pol.action_low, pol.action_high, pol.env_id)
+            pol.action_low, pol.action_high)
         trial.mean_net.set_flat(flat[:pol.mean_net.n_params])
         val, _, _ = objectives.bc_nll_and_grads(trial, obs, act)
         return val

@@ -6,12 +6,13 @@ Examples are derandomized, so every run draws the same cases.
 import math
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mimicrl import critic, data, net
+from mimicrl import critic, data, envs, net
 from mimicrl.envs import EnvSpec
 
 LN2 = math.log(2.0)
@@ -106,7 +107,9 @@ def test_dataset_save_load_round_trip_is_bit_exact(dataset):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.jsonl")
         data.save_dataset(dataset, path)
-        loaded = data.load_dataset(path)
+        # the property env is registered only for the load
+        with mock.patch.dict(envs._SPECS, {"property-v0": dataset.spec}):
+            loaded = data.load_dataset(path)
         again = os.path.join(tmp, "again.jsonl")
         data.save_dataset(loaded, again)
         with open(path, "rb") as f, open(again, "rb") as g:

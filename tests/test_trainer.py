@@ -91,6 +91,13 @@ def test_config_accepts_ints_for_floats_and_null_for_optionals():
     assert cfg.early_stop_return is None
 
 
+def test_config_accepts_numpy_scalars():
+    returns = np.array([-60.0, -40.0])
+    cfg = trainer.TrainConfig(env_id="linereacher-v0", seed=np.int64(0),
+                              early_stop_return=np.mean(returns))
+    assert cfg.seed == 0 and cfg.early_stop_return == -50.0
+
+
 def test_config_requires_identity():
     with pytest.raises(ValueError):
         trainer.TrainConfig.from_dict({"env_id": "linereacher-v0"})
