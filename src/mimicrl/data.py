@@ -153,19 +153,21 @@ class ExpertDataset:
                 raise DatasetFormatError(
                     f"trajectory {traj_id} is incomplete: expected t = 0..{spec.horizon - 1}"
                     f" once each; missing t = {sorted((want - got).elements())}, extra "
-                    f"t = {sorted((got - want).elements())}"
+                    f"t = {sorted((got - want).elements())}",
+                    record=_first_misplaced(by_id[traj_id], spec.horizon),
                 )
             for tr in traj:
                 if tr.done != (tr.t == spec.horizon - 1):
                     raise DatasetFormatError(
                         f"trajectory {traj_id}: done flag at t={tr.t} "
-                        f"inconsistent with horizon {spec.horizon}"
+                        f"inconsistent with horizon {spec.horizon}", record=tr,
                     )
             returns.append(sum(tr.reward for tr in traj))
         if min(returns) <= self.filter_threshold:
+            worst = sorted(by_id)[returns.index(min(returns))]
             raise DatasetFormatError(
                 f"trajectory return {min(returns)} does not exceed the recorded "
-                f"filter threshold {self.filter_threshold}"
+                f"filter threshold {self.filter_threshold}", record=by_id[worst][0],
             )
         self.n_trajectories = len(returns)
         self.return_stats = (
@@ -190,6 +192,17 @@ class ExpertDataset:
     def training_arrays(self):
         """Reward-stripped view of every transition."""
         return self._arrays
+
+
+def _first_misplaced(traj, horizon):
+    """The first record of traj whose t repeats an earlier record's or lies
+    outside 0..horizon-1; the first record if none does (records are missing)."""
+    seen = set()
+    for tr in traj:
+        if tr.t in seen or not 0 <= tr.t < horizon:
+            return tr
+        seen.add(tr.t)
+    return traj[0]
 
 
 def metadata(dataset):
@@ -243,7 +256,7 @@ def _parse_line(raw, line_no, kinds):
         raise DatasetFormatError(f"missing keys {missing}", line=line_no)
     try:
         net.check_json_types(doc, kinds)
-    except TypeError as e:
+    except ValueError as e:
         raise DatasetFormatError(f"bad value: {e}", line=line_no) from None
     return doc
 
@@ -283,7 +296,13 @@ def load_dataset(path):
                 line=line_no,
             )
         transitions.append(tr)
-    dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
+    try:
+        dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
+    except DatasetFormatError as e:
+        if e.record is None:
+            raise
+        line = next(n for n, tr in enumerate(transitions, start=2) if tr is e.record)
+        raise DatasetFormatError(e.args[0], line=line) from None
     for key, value in metadata(dataset).items():
         recorded = meta[key]
         if recorded != value and not (key.startswith("return_")

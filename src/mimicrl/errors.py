@@ -29,11 +29,14 @@ class DatasetFormatError(MimicError, ValueError):
     """A dataset file failed to parse or validate.
 
     ``line`` is the 1-based line number of the offending record, or None
-    when the problem is not tied to a single line.
+    when the problem is not tied to a single line. ``record`` is the
+    offending Transition when ExpertDataset rejects one, so that
+    ``load_dataset`` can name its line.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, record=None):
         self.line = line
+        self.record = record
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

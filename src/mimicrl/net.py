@@ -433,19 +433,20 @@ def save_checkpoint(params, path, extra=None):
     save_json({"layers": layers, **(extra or {})}, path)
 
 
-# the Python types json.load gives the values each kind takes, matched by
+# the one rule for a value of each JSON kind, in configs, dataset lines
+# and checkpoints: the Python types json.load gives that kind, matched by
 # exact type so that true and false pass only as a bool: an integer for an
-# int, any number for a float (JsonConfig's rule for parsed JSON); the kind
-# "floats" is a list of numbers
+# int, any number for a float; the kind "floats" is a list of numbers
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 _NUMBER_TYPES = frozenset(_JSON_TYPES["float"])
 _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false",
                "str": "a string", "floats": "a list of numbers"}
-_LAYER_KINDS = {"in": "int", "out": "int", "weights": "floats", "bias": "floats"}
+_LAYER_KINDS = {"in": "int", "out": "int", "activation": "str", "weights": "floats",
+                "bias": "floats"}
 
 
 def check_json_types(doc, kinds):
-    """Raise TypeError unless each doc[key] has the JSON type kinds[key]
+    """Raise ValueError unless each doc[key] has the JSON type kinds[key]
     names (KeyError if the key is missing)."""
     for key, kind in kinds.items():
         value = doc[key]
@@ -454,35 +455,37 @@ def check_json_types(doc, kinds):
         else:
             ok = type(value) in _JSON_TYPES[kind]
         if not ok:
-            raise TypeError(f"{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
 
 
-@contextlib.contextmanager
-def checkpoint_errors(path):
-    """Re-raise a malformed checkpoint's missing key (KeyError) or bad
-    value (TypeError, ValueError) as a MimicError that names path."""
-    try:
-        yield
-    except KeyError as e:
-        raise MimicError(f"checkpoint {path}: missing key {e}") from None
-    except (TypeError, ValueError) as e:
-        raise MimicError(f"checkpoint {path}: {e}") from None
-
-
-def load_checkpoint(path):
-    """Load a checkpoint JSON; returns (params, full document)."""
-    with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
-        doc = json.load(f)
-        layers = []
-        for spec in doc["layers"]:
-            check_json_types(spec, _LAYER_KINDS)
-            w = np.asarray(spec["weights"], dtype=np.float64)
-            if w.size != spec["in"] * spec["out"]:
-                raise DimensionMismatch(
-                    f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
-                )
-            layers.append(Layer(w.reshape(spec["out"], spec["in"]),
-                                np.asarray(spec["bias"]), spec["activation"]))
-        if not layers:
-            raise DimensionMismatch("'layers' holds no layer")
-        return NetworkParams(layers), doc
+def load_checkpoint(path, kinds):
+    """Load a checkpoint JSON object whose layers, then keys of kinds, are
+    well formed; returns (params, full document). A missing key or a bad
+    value raises a MimicError that names path."""
+    with open(path, "r", encoding="utf-8") as f:
+        try:
+            doc = json.load(f)
+            if type(doc) is not dict:
+                raise ValueError("expected a JSON object")
+            specs = doc["layers"]
+            if type(specs) is not list or not all(type(s) is dict for s in specs):
+                raise ValueError(f"layers must be a list of objects, got {reprlib.repr(specs)}")
+            if not specs:
+                raise DimensionMismatch("'layers' holds no layer")
+            layers = []
+            for spec in specs:
+                check_json_types(spec, _LAYER_KINDS)
+                w = np.asarray(spec["weights"], dtype=np.float64)
+                if w.size != spec["in"] * spec["out"]:
+                    raise DimensionMismatch(
+                        f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
+                    )
+                layers.append(Layer(w.reshape(spec["out"], spec["in"]),
+                                    np.asarray(spec["bias"]), spec["activation"]))
+            params = NetworkParams(layers)
+            check_json_types(doc, kinds)
+        except KeyError as e:
+            raise MimicError(f"checkpoint {path}: missing key {e}") from None
+        except ValueError as e:
+            raise MimicError(f"checkpoint {path}: {e}") from None
+    return params, doc

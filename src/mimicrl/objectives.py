@@ -13,7 +13,6 @@ trainer's TrainConfig.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -107,13 +106,6 @@ def bc_act(policy, obs):
     return np.clip(mu, policy.action_low, policy.action_high)
 
 
-# the type each annotation name stands for (config modules use postponed
-# annotations, so a field's type is its source text); bool is an int
-# subclass, so true and false are rejected apart: no field takes them
-_JSON_KINDS = {"int": numbers.Integral, "float": numbers.Real, "str": str,
-               "None": type(None)}
-
-
 def save_config(doc, path):
     """Echo a resolved config as sorted, indented JSON, atomically."""
     net.save_json(doc, path, indent=2, sort_keys=True)
@@ -123,10 +115,10 @@ class JsonConfig:
     """Base for the config dataclasses that the CLI reads from JSON.
 
     ``from_dict`` rejects unknown keys and requires env_id and seed.
-    ``__post_init__`` checks every value against its field's annotation
-    (``int | None`` also takes null); each subclass then checks ranges
-    in its own ``__post_init__``, so a bad config fails when it is
-    loaded, before a run writes anything.
+    ``__post_init__`` makes each numpy scalar a Python value, so ``asdict``
+    is JSON, then checks every value by ``net.check_json_types``; each
+    subclass then checks ranges in its own ``__post_init__``, so a bad
+    config fails when it is loaded, before a run writes anything.
     """
 
     @classmethod
@@ -139,11 +131,16 @@ class JsonConfig:
         return cls(**doc)
 
     def __post_init__(self):
+        kinds = {}
         for f in fields(self):
-            kinds = tuple(_JSON_KINDS[k.strip()] for k in f.type.split("|"))
             value = getattr(self, f.name)
-            if not isinstance(value, kinds) or isinstance(value, bool):
-                raise ValueError(f"{f.name} must be {f.type}, got {value!r}")
+            if isinstance(value, np.generic):
+                setattr(self, f.name, value.item())
+            # f.type is the annotation's text: "int | None" also takes null
+            kind = f.type.removesuffix(" | None")
+            if value is not None or kind == f.type:
+                kinds[f.name] = kind
+        net.check_json_types(vars(self), kinds)
 
     def check_dataset(self, dataset):
         """Raise ValueError unless dataset was recorded on this config's env."""
@@ -209,12 +206,10 @@ def save_bc_policy(policy, path):
 
 def load_bc_policy(path, spec):
     """Load a BC checkpoint; action bounds come from the EnvSpec."""
-    params, doc = net.load_checkpoint(path)
-    with net.checkpoint_errors(path):
-        net.check_json_types(doc, {"log_std": "floats"})
-        return GaussianBCPolicy(
-            mean_net=params,
-            log_std=np.asarray(doc["log_std"], dtype=np.float64),
-            action_low=np.asarray(spec.action_low, dtype=np.float64),
-            action_high=np.asarray(spec.action_high, dtype=np.float64),
-        )
+    params, doc = net.load_checkpoint(path, {"log_std": "floats"})
+    return GaussianBCPolicy(
+        mean_net=params,
+        log_std=np.asarray(doc["log_std"], dtype=np.float64),
+        action_low=np.asarray(spec.action_low, dtype=np.float64),
+        action_high=np.asarray(spec.action_high, dtype=np.float64),
+    )

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from mimicrl import actor, critic, net
 from mimicrl.envs import env_spec
-from mimicrl.errors import DimensionMismatch
+from mimicrl.errors import DimensionMismatch, MimicError
 
 
 def zeroed(params):
@@ -133,3 +135,10 @@ def test_actor_checkpoint_round_trip(tmp_path):
     assert np.array_equal(back.params.get_flat(), pol.params.get_flat())
     obs = np.array([0.5, -0.5, 1.0])
     assert np.array_equal(back.eval_action(obs), pol.eval_action(obs))
+
+
+def test_load_actor_rejects_a_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "actor.ckpt"
+    path.write_text("[1, 2]\n")
+    with pytest.raises(MimicError, match=re.escape(f"checkpoint {path}: expected a JSON object")):
+        actor.load_actor(path)

@@ -98,6 +98,8 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     (4, "traj_id", "0"),
     (4, "obs", ["1", "2"]),
     (4, "obs", [True, 0.5]),
+    (4, "t", 1),
+    (3, "done", True),
 ])
 def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
                                                    line_no, key, value):
@@ -366,7 +368,10 @@ def without(doc, key):
     (lambda doc: dict(doc, layers=[without(l, "bias") for l in doc["layers"]]),
      "missing key 'bias'"),
     (lambda doc: without(doc, "action_center"), "missing key 'action_center'"),
-    (lambda doc: dict(doc, layers=5), "'int' object is not iterable"),
+    (lambda doc: dict(doc, layers=5), "layers must be a list of objects, got 5"),
+    (lambda doc: dict(doc, layers=[5]), "layers must be a list of objects, got [5]"),
+    (lambda doc: dict(doc, layers=[dict(l, activation=3) for l in doc["layers"]]),
+     "activation must be a string, got 3"),
     (lambda doc: dict(doc, layers=[]), "'layers' holds no layer"),
     (lambda doc: dict(doc, noise_dim="1"), "noise_dim must be an integer, got '1'"),
     (lambda doc: dict(doc, noise_dim=True), "noise_dim must be an integer, got True"),
@@ -375,8 +380,8 @@ def without(doc, key):
     (lambda doc: dict(doc, layers=[dict(l, weights="0") for l in doc["layers"]]),
      "weights must be a list of numbers, got '0'"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
-        "layers-empty", "noise-dim-string", "noise-dim-bool", "action-center-strings",
-        "weights-string"])
+        "layer-not-an-object", "activation-not-a-string", "layers-empty",
+        "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),

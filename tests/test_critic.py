@@ -406,6 +406,6 @@ def test_critic_checkpoint_round_trip(tmp_path):
     c = random_critic(30)
     path = tmp_path / "critic.ckpt"
     critic.save_critic(c, path)
-    params, doc = net.load_checkpoint(path)
+    params, doc = net.load_checkpoint(path, {"clamp_eps": "float"})
     assert doc["clamp_eps"] == c.clamp_eps
     assert np.array_equal(params.get_flat(), c.params.get_flat())

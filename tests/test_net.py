@@ -231,7 +231,7 @@ def test_checkpoint_round_trip(tmp_path):
     p = net.init_network([3, 8, 2], ["relu", "tanh"], rng)
     path = tmp_path / "net.ckpt"
     net.save_checkpoint(p, path, extra={"clamp_eps": 1e-6})
-    q, doc = net.load_checkpoint(path)
+    q, doc = net.load_checkpoint(path, {"clamp_eps": "float"})
     assert doc["clamp_eps"] == 1e-6
     assert [l["activation"] for l in doc["layers"]] == ["relu", "tanh"]
     assert doc["layers"][0]["in"] == 3 and doc["layers"][0]["out"] == 8
@@ -367,6 +367,16 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
         assert_engine_matches_reference(p, x, upstream)
 
 
+def reference_adam_step(flat, m, v, t, lr, g):
+    """Adam step t by the textbook formula; returns the new (flat, m, v)."""
+    b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    return flat - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
+
+
 def test_adam_step_matches_reference_bit_for_bit():
     rng = np.random.default_rng(8)
     p = net.init_network([5, 7, 3], ["tanh", "identity"], rng)
@@ -374,15 +384,10 @@ def test_adam_step_matches_reference_bit_for_bit():
     flat = p.get_flat()
     m = np.zeros(p.n_params)
     v = np.zeros(p.n_params)
-    b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
     for t in range(1, 6):
         g = rng.standard_normal(p.n_params)
         g_before = g.copy()
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        flat = flat - st.lr * m_hat / (np.sqrt(v_hat) + eps)
+        flat, m, v = reference_adam_step(flat, m, v, t, st.lr, g)
         assert net.adam_step(st, p.flat, g) is None
         assert st.step_count == t
         assert_bits_equal(p.flat, flat)
@@ -411,7 +416,7 @@ def test_layer_arrays_are_views_into_flat(tmp_path):
     _assert_layers_view_flat(q)
     assert not np.shares_memory(q.flat, p.flat)
     net.save_checkpoint(p, tmp_path / "p.ckpt")
-    r, _ = net.load_checkpoint(tmp_path / "p.ckpt")
+    r, _ = net.load_checkpoint(tmp_path / "p.ckpt", {})
     _assert_layers_view_flat(r)
     assert np.array_equal(r.flat, p.flat)
     snapshot = p.get_flat()

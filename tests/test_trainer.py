@@ -7,9 +7,11 @@ import pytest
 from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
 from mimicrl import net, trainer
-from mimicrl.data import ReplayBuffer, load_dataset
+from mimicrl.data import ReplayBuffer, Transition, TransitionArrays, load_dataset
 from mimicrl.envs import env_spec
 from mimicrl.errors import ExpertGenerationError, NonFiniteError
+from test_critic import reference_loss_and_grads
+from test_net import reference_adam_step, reference_forward_backward
 
 
 def small_config(**kw):
@@ -96,6 +98,16 @@ def test_config_accepts_numpy_scalars():
     cfg = trainer.TrainConfig(env_id="linereacher-v0", seed=np.int64(0),
                               early_stop_return=np.mean(returns))
     assert cfg.seed == 0 and cfg.early_stop_return == -50.0
+
+
+def test_numpy_scalar_config_trains_and_echoes_plain_json(dataset, tmp_path):
+    cfg = small_config(seed=np.int64(0), batch_expert=np.int64(16), max_episodes=1)
+    trainer.train(cfg, dataset, out_dir=tmp_path)
+    echo = json.loads((tmp_path / "config.json").read_text())
+    assert type(echo["seed"]) is int and type(echo["batch_expert"]) is int
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "actor.ckpt", "config.json", "critic1.ckpt", "critic2.ckpt", "eval.csv",
+        "metrics.csv"]
 
 
 def test_config_requires_identity():
@@ -203,6 +215,111 @@ def test_update_step_targets_computed_before_critics_change(dataset, monkeypatch
     assert not np.array_equal(state.critic1.params.get_flat(), c1_before)
     assert np.all(seen["expert"] <= 1.0 - cfg.clamp_eps + 1e-15)
     assert np.all(seen["beta"] <= 0.5 + 1e-15)
+
+
+def reference_update_step(ref, expert, replay, config, rng, episode):
+    """update_step by the plain formulas: np.clip for every clamp, a fresh
+    forward per use, Adam and the soft update out of place. ref is a
+    LearnerState that only this function updates; expert and replay hold
+    every row that the update samples from. Draws from rng in the
+    library's order and multiplies matrices of the library's shapes."""
+    def draw(rows, n):
+        idx = rng.integers(0, rows.obs.shape[0], size=n)
+        return rows.obs[idx], rows.act[idx], rows.next_obs[idx], rows.done[idx]
+
+    def forward(params, x):
+        return reference_forward_backward(params, x, np.zeros((len(x), params.n_out)))[0]
+
+    def adam(opt, params, g):
+        opt.step_count += 1
+        flat, opt.first_moment, opt.second_moment = reference_adam_step(
+            params.flat, opt.first_moment, opt.second_moment, opt.step_count, opt.lr, g)
+        params.set_flat(flat)
+
+    a, eps, n_e = ref.actor, ref.critic1.clamp_eps, config.batch_expert
+    e_obs, e_act, e_next, e_done = draw(expert, n_e)
+    b_obs, b_act, b_next, b_done = draw(replay, config.batch_beta)
+
+    # targets: one next action per row, min of the target critics
+    next_obs = np.concatenate([e_next, b_next])
+    x = np.concatenate([next_obs, rng.standard_normal((len(next_obs), a.noise_dim))], axis=1)
+    sa = np.concatenate(
+        [next_obs, a.action_center + a.action_halfwidth * forward(a.params, x)], axis=1)
+    q1, q2 = (np.clip(forward(t.params, sa)[:, 0], eps, 1.0 - eps)
+              for t in (ref.target1, ref.target2))
+    base = np.where(np.concatenate([e_done, b_done]), 1.0,
+                    np.minimum(q1, q2) ** config.gamma)
+    e_t = np.clip(base[:n_e], eps, 1.0 - eps)
+    b_t = np.clip(base[n_e:] / 2.0, eps, 1.0 - eps)
+
+    loss, g1, g2, diag = reference_loss_and_grads(
+        ref.critic1, ref.critic2, e_obs, e_act, e_t, b_obs, b_act, b_t)
+    adam(ref.opt_critic1, ref.critic1.params, g1)
+    adam(ref.opt_critic2, ref.critic2.params, g2)
+
+    # the actor ascends mean log q1(s, pi(s, z)) through the updated critic 1
+    s = draw(replay, config.batch_beta)[0]
+    n = len(s)
+    x = np.concatenate([s, rng.standard_normal((n, a.noise_dim))], axis=1)
+    sa = np.concatenate(
+        [s, a.action_center + a.action_halfwidth * forward(a.params, x)], axis=1)
+    raw = forward(ref.critic1.params, sa)[:, 0]
+    q = np.clip(raw, eps, 1.0 - eps)
+    in_range = ((raw > eps) & (raw < 1.0 - eps)).astype(np.float64)
+    d_sa = reference_forward_backward(ref.critic1.params, sa, (in_range / (n * q))[:, None])[2]
+    up_a = d_sa[:, s.shape[1]:] * a.action_halfwidth
+    adam(ref.opt_actor, a.params, -reference_forward_backward(a.params, x, up_a)[1])
+
+    for main, target in ((ref.critic1, ref.target1), (ref.critic2, ref.target2)):
+        target.params.set_flat(config.tau * main.params.flat
+                               + (1.0 - config.tau) * target.params.flat)
+    ref.global_step += 1
+    return {"global_step": ref.global_step, "episode": episode, "critic_loss": loss,
+            "actor_obj": float(np.mean(np.log(q))), **diag}
+
+
+def far_out_rows(rng, n):
+    """n random transitions, two of them final; every tenth row lies far
+    out, so critic outputs and targets reach both ends of the clamp."""
+    obs, next_obs = rng.standard_normal((2, n, 2))
+    obs[::10] *= 3000.0
+    next_obs[::10] *= 3000.0
+    done = np.zeros(n, dtype=bool)
+    done[n // 2 - 1::n // 2] = True
+    return TransitionArrays(obs, rng.uniform(-1.0, 1.0, (n, 1)), next_obs, done)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("n_e,n_b", [(128, 128), (16, 24)])
+def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
+    cfg = small_config(batch_expert=n_e, batch_beta=n_b)
+    lib, ref = (trainer.build_learner(cfg, np.random.default_rng(cfg.seed))
+                for _ in range(2))
+    rng = np.random.default_rng([n_e, n_b])
+    expert, replay = far_out_rows(rng, 400), far_out_rows(rng, 400)
+    buf = ReplayBuffer(400, 2, 1)
+    for i in range(400):
+        buf.push(Transition(replay.obs[i], replay.act[i], replay.next_obs[i],
+                            replay.done[i], 0.0))
+    q = critic_mod.q_batch(lib.critic1, np.concatenate([replay.obs, replay.act], axis=1))
+    assert np.any(q == 1e-6) and np.any(q == 1.0 - 1e-6)
+
+    lib_rng, ref_rng = np.random.default_rng(5), np.random.default_rng(5)
+    rows = [trainer.update_step(lib, expert, buf, cfg, lib_rng, episode=1)
+            for _ in range(200)]
+    ref_rows = [reference_update_step(ref, expert, replay, cfg, ref_rng, 1)
+                for _ in range(200)]
+
+    assert rows == ref_rows
+    for name in ("actor", "critic1", "critic2", "target1", "target2"):
+        assert getattr(lib, name).params.flat.tobytes() == \
+            getattr(ref, name).params.flat.tobytes(), name
+    for name in ("opt_actor", "opt_critic1", "opt_critic2"):
+        got, want = getattr(lib, name), getattr(ref, name)
+        assert got.first_moment.tobytes() == want.first_moment.tobytes(), name
+        assert got.second_moment.tobytes() == want.second_moment.tobytes(), name
+        assert got.step_count == want.step_count == 200
+    assert lib.global_step == ref.global_step == 200
 
 
 def read_metrics(out_dir):
