@@ -112,13 +112,26 @@ def save_actor(policy, path):
     )
 
 
-def load_actor(path):
-    params, doc = net.load_checkpoint(path, {"noise_dim": "int", "action_center": "floats",
-                                             "action_halfwidth": "floats"})
+_CHECKPOINT_KINDS = {"noise_dim": "int", "action_center": "floats",
+                     "action_halfwidth": "floats", "env_id": "str"}
+
+
+def load_actor(path, checkpoint=None):
+    """The actor saved at path. checkpoint is the (params, doc) pair of
+    ``net.load_checkpoint(path, {})``, for a caller that has read path."""
+    params, doc = checkpoint or net.load_checkpoint(path, {})
+    doc.setdefault("env_id", "")   # a checkpoint may leave its env unnamed
+    with net.checkpoint_errors(path):
+        net.check_json_types(doc, _CHECKPOINT_KINDS)
+        if not 0 <= doc["noise_dim"] < params.n_in:
+            raise DimensionMismatch(
+                f"noise_dim {doc['noise_dim']} must be in 0..{params.n_in - 1}, so that "
+                f"the network's {params.n_in} inputs hold an observation"
+            )
     return ActorPolicy(
         params=params,
         noise_dim=doc["noise_dim"],
         action_center=np.asarray(doc["action_center"], dtype=np.float64),
         action_halfwidth=np.asarray(doc["action_halfwidth"], dtype=np.float64),
-        env_id=doc.get("env_id", ""),
+        env_id=doc["env_id"],
     )

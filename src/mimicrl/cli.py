@@ -76,15 +76,31 @@ def cmd_train_bc(args):
     return 0
 
 
-def cmd_eval(args):
-    spec = env_spec(args.env)
-    doc = _load_json(args.actor, "checkpoint")
-    if "log_std" in doc:
-        policy = objectives.load_bc_policy(args.actor, spec)
-    elif "noise_dim" in doc:
-        policy = load_actor(args.actor)
+def _load_policy(path, spec):
+    """The actor or BC policy saved at path, read once; it must fit spec's env."""
+    checkpoint = net.load_checkpoint(path, {})
+    if "log_std" in checkpoint[1]:
+        policy = objectives.load_bc_policy(path, spec, checkpoint)
+        params, obs_dim = policy.mean_net, policy.mean_net.n_in
+    elif "noise_dim" in checkpoint[1]:
+        policy = load_actor(path, checkpoint)
+        if policy.env_id not in ("", spec.env_id):
+            raise MimicError(f"checkpoint {path}: an actor for {policy.env_id}, "
+                             f"but --env is {spec.env_id}")
+        params, obs_dim = policy.params, policy.obs_dim
     else:
-        raise MimicError(f"{args.actor} is neither an actor nor a BC checkpoint")
+        raise MimicError(f"{path} is neither an actor nor a BC checkpoint")
+    if (obs_dim, params.n_out) != (spec.obs_dim, spec.act_dim):
+        raise MimicError(
+            f"checkpoint {path}: the policy maps obs_dim {obs_dim} to act_dim "
+            f"{params.n_out}, but {spec.env_id} has obs_dim {spec.obs_dim} and "
+            f"act_dim {spec.act_dim}"
+        )
+    return policy
+
+
+def cmd_eval(args):
+    policy = _load_policy(args.actor, env_spec(args.env))
     mean, std, returns = trainer.evaluate(policy, args.env, args.episodes, args.seed)
     resolved = {"command": "eval", "actor": args.actor, "env_id": args.env,
                 "episodes": args.episodes, "seed": args.seed}

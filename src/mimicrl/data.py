@@ -48,7 +48,7 @@ _TRANSITION_KINDS = {"traj_id": "int", "t": "int", "obs": "floats", "act": "floa
                      "next_obs": "floats", "done": "bool", "reward": "float"}
 
 
-@dataclass
+@dataclass(slots=True)
 class Transition:
     obs: np.ndarray
     act: np.ndarray
@@ -77,12 +77,28 @@ class TransitionArrays:
                                 self.done[idx])
 
 
+# rows the replay buffer's columns hold before their first doubling
+_FIRST_ROWS = 1024
+
+
+def _grown(rows, n):
+    """rows' columns copied into zeroed columns of n rows."""
+    def column(old):
+        new = np.zeros((n,) + old.shape[1:], dtype=old.dtype)
+        new[:len(old)] = old
+        return new
+    return TransitionArrays(column(rows.obs), column(rows.act),
+                            column(rows.next_obs), column(rows.done))
+
+
 class ReplayBuffer:
     """Fixed-capacity FIFO ring over (obs, act, next_obs, done).
 
     Once full, the oldest entry is overwritten first. A pushed
     Transition's reward, traj_id and t are not stored. Sampling is
     uniform with replacement and reproducible from the generator state.
+    The columns start at _FIRST_ROWS rows and double as rows arrive, up
+    to capacity, so a large capacity costs nothing until it fills.
     """
 
     def __init__(self, capacity, obs_dim, act_dim):
@@ -91,11 +107,12 @@ class ReplayBuffer:
         self.capacity = capacity
         self.obs_dim = obs_dim
         self.act_dim = act_dim
+        n = min(capacity, _FIRST_ROWS)
         self._rows = TransitionArrays(
-            obs=np.zeros((capacity, obs_dim)),
-            act=np.zeros((capacity, act_dim)),
-            next_obs=np.zeros((capacity, obs_dim)),
-            done=np.zeros(capacity, dtype=bool),
+            obs=np.zeros((n, obs_dim)),
+            act=np.zeros((n, act_dim)),
+            next_obs=np.zeros((n, obs_dim)),
+            done=np.zeros(n, dtype=bool),
         )
         self._write = 0
         self._size = 0
@@ -118,6 +135,8 @@ class ReplayBuffer:
             )
         i = self._write
         rows = self._rows
+        if i == len(rows):
+            rows = self._rows = _grown(rows, min(2 * i, self.capacity))
         rows.obs[i] = obs
         rows.act[i] = act
         rows.next_obs[i] = next_obs
@@ -265,37 +284,37 @@ def load_dataset(path):
     """Read a dataset file; its env must be registered, and line 1 must
     equal ``metadata`` of what the records hold."""
     with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines:
-        raise DatasetFormatError("empty dataset file", line=1)
-    meta = _parse_line(lines[0], 1, _METADATA_KINDS)
-    try:
-        spec = env_spec(meta["env_id"])
-    except UnknownEnvError as e:
-        raise DatasetFormatError(e.args[0], line=1) from None
-    transitions = []
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            raise DatasetFormatError("blank line inside dataset", line=line_no)
-        rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
-        tr = Transition(
-            obs=np.asarray(rec["obs"], dtype=np.float64),
-            act=np.asarray(rec["act"], dtype=np.float64),
-            next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
-            done=rec["done"], reward=float(rec["reward"]),
-            traj_id=rec["traj_id"], t=rec["t"],
-        )
-        if tr.obs.shape != (spec.obs_dim,) or tr.next_obs.shape != (spec.obs_dim,):
-            raise DatasetFormatError(
-                f"obs length {tr.obs.shape} does not match obs_dim {spec.obs_dim}",
-                line=line_no,
+        first = f.readline()
+        if not first:
+            raise DatasetFormatError("empty dataset file", line=1)
+        meta = _parse_line(first, 1, _METADATA_KINDS)
+        try:
+            spec = env_spec(meta["env_id"])
+        except UnknownEnvError as e:
+            raise DatasetFormatError(e.args[0], line=1) from None
+        transitions = []
+        for line_no, raw in enumerate(f, start=2):
+            if not raw.strip():
+                raise DatasetFormatError("blank line inside dataset", line=line_no)
+            rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
+            tr = Transition(
+                obs=np.asarray(rec["obs"], dtype=np.float64),
+                act=np.asarray(rec["act"], dtype=np.float64),
+                next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
+                done=rec["done"], reward=float(rec["reward"]),
+                traj_id=rec["traj_id"], t=rec["t"],
             )
-        if tr.act.shape != (spec.act_dim,):
-            raise DatasetFormatError(
-                f"act length {tr.act.shape} does not match act_dim {spec.act_dim}",
-                line=line_no,
-            )
-        transitions.append(tr)
+            if tr.obs.shape != (spec.obs_dim,) or tr.next_obs.shape != (spec.obs_dim,):
+                raise DatasetFormatError(
+                    f"obs length {tr.obs.shape} does not match obs_dim {spec.obs_dim}",
+                    line=line_no,
+                )
+            if tr.act.shape != (spec.act_dim,):
+                raise DatasetFormatError(
+                    f"act length {tr.act.shape} does not match act_dim {spec.act_dim}",
+                    line=line_no,
+                )
+            transitions.append(tr)
     try:
         dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
     except DatasetFormatError as e:

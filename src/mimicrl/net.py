@@ -458,34 +458,41 @@ def check_json_types(doc, kinds):
             raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
 
 
+@contextlib.contextmanager
+def checkpoint_errors(path):
+    """Re-raise a KeyError or ValueError from the block as a MimicError
+    that names the checkpoint at path."""
+    try:
+        yield
+    except KeyError as e:
+        raise MimicError(f"checkpoint {path}: missing key {e}") from None
+    except ValueError as e:
+        raise MimicError(f"checkpoint {path}: {e}") from None
+
+
 def load_checkpoint(path, kinds):
     """Load a checkpoint JSON object whose layers, then keys of kinds, are
     well formed; returns (params, full document). A missing key or a bad
     value raises a MimicError that names path."""
-    with open(path, "r", encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-            if type(doc) is not dict:
-                raise ValueError("expected a JSON object")
-            specs = doc["layers"]
-            if type(specs) is not list or not all(type(s) is dict for s in specs):
-                raise ValueError(f"layers must be a list of objects, got {reprlib.repr(specs)}")
-            if not specs:
-                raise DimensionMismatch("'layers' holds no layer")
-            layers = []
-            for spec in specs:
-                check_json_types(spec, _LAYER_KINDS)
-                w = np.asarray(spec["weights"], dtype=np.float64)
-                if w.size != spec["in"] * spec["out"]:
-                    raise DimensionMismatch(
-                        f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
-                    )
-                layers.append(Layer(w.reshape(spec["out"], spec["in"]),
-                                    np.asarray(spec["bias"]), spec["activation"]))
-            params = NetworkParams(layers)
-            check_json_types(doc, kinds)
-        except KeyError as e:
-            raise MimicError(f"checkpoint {path}: missing key {e}") from None
-        except ValueError as e:
-            raise MimicError(f"checkpoint {path}: {e}") from None
+    with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
+        doc = json.load(f)
+        if type(doc) is not dict:
+            raise ValueError("expected a JSON object")
+        specs = doc["layers"]
+        if type(specs) is not list or not all(type(s) is dict for s in specs):
+            raise ValueError(f"layers must be a list of objects, got {reprlib.repr(specs)}")
+        if not specs:
+            raise DimensionMismatch("'layers' holds no layer")
+        layers = []
+        for spec in specs:
+            check_json_types(spec, _LAYER_KINDS)
+            w = np.asarray(spec["weights"], dtype=np.float64)
+            if w.size != spec["in"] * spec["out"]:
+                raise DimensionMismatch(
+                    f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
+                )
+            layers.append(Layer(w.reshape(spec["out"], spec["in"]),
+                                np.asarray(spec["bias"]), spec["activation"]))
+        params = NetworkParams(layers)
+        check_json_types(doc, kinds)
     return params, doc

@@ -204,9 +204,13 @@ def save_bc_policy(policy, path):
     net.save_checkpoint(policy.mean_net, path, extra={"log_std": policy.log_std.tolist()})
 
 
-def load_bc_policy(path, spec):
-    """Load a BC checkpoint; action bounds come from the EnvSpec."""
-    params, doc = net.load_checkpoint(path, {"log_std": "floats"})
+def load_bc_policy(path, spec, checkpoint=None):
+    """Load a BC checkpoint; action bounds come from the EnvSpec. checkpoint
+    is the (params, doc) pair of ``net.load_checkpoint(path, {})``, for a
+    caller that has read path."""
+    params, doc = checkpoint or net.load_checkpoint(path, {})
+    with net.checkpoint_errors(path):
+        net.check_json_types(doc, {"log_std": "floats"})
     return GaussianBCPolicy(
         mean_net=params,
         log_std=np.asarray(doc["log_std"], dtype=np.float64),

@@ -379,9 +379,18 @@ def without(doc, key):
      "action_center must be a list of numbers, got ['0']"),
     (lambda doc: dict(doc, layers=[dict(l, weights="0") for l in doc["layers"]]),
      "weights must be a list of numbers, got '0'"),
+    (lambda doc: dict(doc, noise_dim=3),
+     "noise_dim 3 must be in 0..2, so that the network's 3 inputs hold an observation"),
+    (lambda doc: dict(doc, noise_dim=-1),
+     "noise_dim -1 must be in 0..2, so that the network's 3 inputs hold an observation"),
+    (lambda doc: dict(doc, env_id=5), "env_id must be a string, got 5"),
+    (lambda doc: dict(doc, noise_dim=2), "the policy maps obs_dim 1 to act_dim 1, "
+     "but linereacher-v0 has obs_dim 2 and act_dim 1"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
         "layer-not-an-object", "activation-not-a-string", "layers-empty",
-        "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string"])
+        "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string",
+        "noise-dim-fills-the-input", "noise-dim-negative", "env-id-not-a-string",
+        "noise-dim-narrows-the-observation"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),
@@ -391,6 +400,27 @@ def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
                    "--episodes", "1"])
     assert rc == 1
     assert capsys.readouterr().err == f"error: checkpoint {path}: {fault}\n"
+
+
+def test_eval_actor_for_another_env_exit_1(tmp_path, capsys):
+    path = tmp_path / "actor.ckpt"
+    actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),
+                                      np.random.default_rng(0)), path)
+    rc = cli.main(["eval", "--actor", str(path), "--env", "pendulum-v0"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path}: an actor for linereacher-v0, but --env is pendulum-v0\n")
+
+
+def test_eval_bc_policy_for_another_env_exit_1(tmp_path, capsys):
+    path = tmp_path / "bc.ckpt"
+    objectives.save_bc_policy(objectives.make_bc_policy(
+        env_spec("linereacher-v0"), np.random.default_rng(0)), path)
+    rc = cli.main(["eval", "--actor", str(path), "--env", "pendulum-v0"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: checkpoint {path}: the policy maps obs_dim 2 to act_dim 1, "
+        "but pendulum-v0 has obs_dim 3 and act_dim 1\n")
 
 
 def test_bare_import_loads_every_submodule_but_cli_and_binds_only_modules():

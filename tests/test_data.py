@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,23 @@ def test_sample_uniformity_binomial_bound():
     assert np.all(np.abs(counts - 10_000) < 5 * sigma)
 
 
+def traced_peak_and_result(fn):
+    """(bytes fn's result retains, peak bytes traced while fn ran, result)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return retained, peak, result
+
+
+def test_a_large_capacity_reserves_no_rows_up_front():
+    # the columns start at 1,024 rows and double as rows arrive
+    _, peak, _ = traced_peak_and_result(lambda: data.ReplayBuffer(1_000_000, 2, 1))
+    assert peak < 1_000_000
+
+
 def test_sample_arrays_has_no_reward_field():
     buf = data.ReplayBuffer(10, 2, 1)
     buf.push(make_tr(0, reward=123.0))
@@ -127,6 +145,29 @@ def test_save_load_second_round_trip_identical_bytes(tmp_path):
     loaded = data.load_dataset(tmp_path / "exp.jsonl")
     data.save_dataset(loaded, tmp_path / "again.jsonl")
     assert (tmp_path / "again.jsonl").read_bytes() == first
+
+
+def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
+    # the loader holds one line at a time beside the records it has parsed,
+    # not the file's whole text and its list of lines
+    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
+    retained, peak, ds = traced_peak_and_result(
+        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    assert len(ds) == 2000
+    assert peak <= 1.25 * retained
+
+
+def test_crlf_copy_loads_to_the_same_dataset(tmp_path):
+    expert_fixture(tmp_path)
+    lf = tmp_path / "exp.jsonl"
+    crlf = tmp_path / "crlf.jsonl"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    a, b = data.load_dataset(lf), data.load_dataset(crlf)
+    assert data.metadata(b) == data.metadata(a)
+    for x, y in zip(a.transitions, b.transitions, strict=True):
+        for name in ("obs", "act", "next_obs"):
+            assert getattr(x, name).tobytes() == getattr(y, name).tobytes()
+        assert (x.done, x.reward, x.traj_id, x.t) == (y.done, y.reward, y.traj_id, y.t)
 
 
 def test_metadata_is_the_first_line_in_key_order(tmp_path):

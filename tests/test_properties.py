@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from mimicrl import critic, data, envs, net
 from mimicrl.envs import EnvSpec
@@ -127,15 +127,38 @@ def test_dataset_save_load_round_trip_is_bit_exact(dataset):
         assert (a.done, a.traj_id, a.t) == (b.done, b.traj_id, b.t)
 
 
-@settings(max_examples=100, derandomize=True)
-@given(capacity=st.integers(1, 20), n_pushes=st.integers(1, 60))
+class _EveryRow:
+    """Generator stand-in whose draw is every row index in order, so that
+    sample_arrays returns a buffer's whole contents."""
+
+    def integers(self, low, high, size):
+        return np.arange(low, high)
+
+
+# capacities and push counts reach past the buffer's first 1,024 rows, so
+# its columns grow (and, below 2,048 rows, grow short of a doubling)
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(capacity=st.integers(1, 3000), n_pushes=st.integers(1, 5000))
+@example(capacity=1024, n_pushes=1025)
+@example(capacity=1025, n_pushes=2100)
+@example(capacity=3000, n_pushes=5000)
 def test_replay_buffer_keeps_the_latest_capacity_pushes(capacity, n_pushes):
-    buf = data.ReplayBuffer(capacity, 1, 1)
+    buf = data.ReplayBuffer(capacity, 2, 1)
+    rows = []   # the reference: a plain list, overwritten oldest first once full
     for i in range(n_pushes):
-        buf.push(data.Transition(obs=[float(i)], act=[0.0], next_obs=[i + 1.0],
-                                 done=False, reward=0.0))
-    assert len(buf) == min(capacity, n_pushes)
-    batch = buf.sample_arrays(50 * capacity, np.random.default_rng(capacity))
-    assert set(batch.obs[:, 0]) == set(map(float, range(max(0, n_pushes - capacity),
-                                                        n_pushes)))
-    assert np.array_equal(batch.next_obs, batch.obs + 1.0)
+        row = ([float(i), -0.5 * i], [i / 3.0], [i + 1.0, 0.25 * i], i % 3 == 0)
+        buf.push(data.Transition(*row, reward=0.0))
+        if len(rows) < capacity:
+            rows.append(row)
+        else:
+            rows[i % capacity] = row
+    assert len(buf) == len(rows) == min(capacity, n_pushes)
+    want = [np.array([r[k] for r in rows]) for k in range(4)]
+    got = buf.sample_arrays(1, _EveryRow())
+    idx = np.random.default_rng(capacity).integers(0, len(rows), size=300)
+    drawn = buf.sample_arrays(300, np.random.default_rng(capacity))
+    for name, column in zip(("obs", "act", "next_obs", "done"), want):
+        assert _bits(getattr(got, name)) == _bits(column), name
+        assert _bits(getattr(drawn, name)) == _bits(column[idx]), name
+    assert set(got.obs[:, 0]) == set(map(float, range(max(0, n_pushes - capacity),
+                                                      n_pushes)))

@@ -1,5 +1,6 @@
 import csv
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mimicrl.data import ReplayBuffer, Transition, TransitionArrays, load_datase
 from mimicrl.envs import env_spec
 from mimicrl.errors import ExpertGenerationError, NonFiniteError
 from test_critic import reference_loss_and_grads
+from test_envs import _ref_rollout
 from test_net import reference_adam_step, reference_forward_backward
 
 
@@ -311,6 +313,12 @@ def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
                 for _ in range(200)]
 
     assert rows == ref_rows
+    assert_same_learner(lib, ref)
+    assert lib.global_step == lib.opt_actor.step_count == 200
+
+
+def assert_same_learner(lib, ref):
+    """Every parameter, optimizer moment, counter and eval row, bit for bit."""
     for name in ("actor", "critic1", "critic2", "target1", "target2"):
         assert getattr(lib, name).params.flat.tobytes() == \
             getattr(ref, name).params.flat.tobytes(), name
@@ -318,8 +326,96 @@ def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
         got, want = getattr(lib, name), getattr(ref, name)
         assert got.first_moment.tobytes() == want.first_moment.tobytes(), name
         assert got.second_moment.tobytes() == want.second_moment.tobytes(), name
-        assert got.step_count == want.step_count == 200
-    assert lib.global_step == ref.global_step == 200
+        assert got.step_count == want.step_count, name
+    assert (lib.global_step, lib.env_steps) == (ref.global_step, ref.env_steps)
+    assert lib.metrics.eval_rows == ref.metrics.eval_rows
+
+
+RUN_FILES = ("metrics.csv", "eval.csv", "actor.ckpt", "critic1.ckpt", "critic2.ckpt")
+
+
+def reference_train(config, dataset, out_dir):
+    """train() as a plain loop: the reference env dynamics and forward, and
+    reference_update_step over replay rows kept in a plain list, oldest
+    overwritten first. Writes RUN_FILES to out_dir. Returns the LearnerState
+    and, per checkpoint written, (file name, its bytes, eval.csv and
+    metrics.csv as they stand when it is written)."""
+    rng = np.random.default_rng(config.seed)
+    ref = trainer.build_learner(config, rng)
+    a = ref.actor
+
+    def act(obs, z):
+        x = np.concatenate([obs, z])[None]
+        out = reference_forward_backward(a.params, x, np.zeros((1, a.params.n_out)))[0]
+        return a.action_center + a.action_halfwidth * out[0]
+
+    expert = dataset.training_arrays()
+    rows, pushed, snapshots = [], 0, []
+    metrics = "global_step,episode,critic_loss,actor_obj,q_mean_expert,q_mean_beta\n"
+    evals = "episode,mean_return,std_return\n"
+    for episode in range(1, config.max_episodes + 1):
+        raw, _ = _ref_rollout(config.env_id, int(rng.integers(0, 2**63)),
+                              lambda obs: act(obs, rng.standard_normal(a.noise_dim)))
+        for obs, action, next_obs, _, done in raw:
+            i = pushed % config.buffer_capacity
+            rows[i:i + 1] = [(obs, action, next_obs, done)]
+            pushed += 1
+        replay = TransitionArrays(*(np.array([r[k] for r in rows]) for k in range(4)))
+        ref.env_steps += len(raw)
+        for _ in raw:
+            row = reference_update_step(ref, expert, replay, config, rng, episode)
+            metrics += f"{row['global_step']},{episode}," + ",".join(
+                repr(float(row[k])) for k in trainer.UPDATE_COLUMNS[2:]) + "\n"
+        if episode % config.eval_every and episode < config.max_episodes:
+            continue
+        returns = [_ref_rollout(config.env_id, config.seed + 100_000 + i,
+                                lambda obs: act(obs, np.zeros(a.noise_dim)))[1]
+                   for i in range(config.eval_episodes)]
+        mean, std = float(np.mean(returns)), float(np.std(returns))
+        ref.metrics.eval_rows.append(
+            {"episode": episode, "mean_return": mean, "std_return": std})
+        evals += f"{episode},{mean!r},{std!r}\n"
+        (out_dir / "metrics.csv").write_text(metrics)
+        (out_dir / "eval.csv").write_text(evals)
+        actor_mod.save_actor(a, out_dir / "actor.ckpt")
+        critic_mod.save_critic(ref.critic1, out_dir / "critic1.ckpt")
+        critic_mod.save_critic(ref.critic2, out_dir / "critic2.ckpt")
+        snapshots += [(name, (out_dir / name).read_bytes(), evals.encode(), metrics.encode())
+                      for name in RUN_FILES[2:]]
+        if config.early_stop_return is not None and mean >= config.early_stop_return:
+            break
+    return ref, snapshots
+
+
+@pytest.mark.parametrize("kw", [
+    dict(max_episodes=3),
+    dict(max_episodes=5, early_stop_return=-1e9),
+    # 1,200 pushes: the buffer grows past 1,024 rows, then evicts past 1,100
+    dict(max_episodes=6, buffer_capacity=1100, early_stop_return=1e9),
+], ids=["final-eval-off-cadence", "early-stop-at-first-eval", "growth-and-eviction"])
+def test_train_matches_reference_loop_bit_for_bit(dataset, tmp_path, monkeypatch, kw):
+    cfg = small_config(**kw)
+    (tmp_path / "ref").mkdir()
+    ref, ref_snapshots = reference_train(cfg, dataset, tmp_path / "ref")
+
+    snapshots = []
+    real_save = net.save_checkpoint
+
+    def recording_save(params, path, extra=None):
+        real_save(params, path, extra)
+        path = pathlib.Path(path)
+        run = path.parent
+        snapshots.append((path.name, path.read_bytes(), (run / "eval.csv").read_bytes(),
+                          (run / "metrics.csv").read_bytes()))
+
+    monkeypatch.setattr(net, "save_checkpoint", recording_save)
+    lib = trainer.train(cfg, dataset, out_dir=tmp_path / "lib")
+    assert_same_learner(lib, ref)
+    assert [s[0] for s in snapshots] == [s[0] for s in ref_snapshots]
+    assert snapshots == ref_snapshots
+    for name in RUN_FILES:
+        assert (tmp_path / "lib" / name).read_bytes() == \
+            (tmp_path / "ref" / name).read_bytes(), name
 
 
 def read_metrics(out_dir):
