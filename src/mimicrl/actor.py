@@ -30,8 +30,10 @@ class ActorPolicy:
         return self.params.n_in - self.noise_dim
 
     def eval_action(self, obs):
-        """Deterministic evaluation-mode action (noise at its mode, z = 0)."""
-        return act(self, obs, np.zeros(self.noise_dim))
+        """Deterministic evaluation-mode action (noise at its mode, z = 0)
+        for one observation or an (n, obs_dim) stack of them."""
+        obs = np.asarray(obs, dtype=np.float64)
+        return act(self, obs, np.zeros(obs.shape[:-1] + (self.noise_dim,)))
 
 
 def make_actor(spec, rng, noise_dim=None):
@@ -45,18 +47,24 @@ def make_actor(spec, rng, noise_dim=None):
 
 
 def act(policy, obs, z):
-    """action = center + halfwidth * tanh_net(concat(obs, z))."""
+    """action = center + halfwidth * tanh_net(concat(obs, z)), row by row.
+
+    obs and z are one (obs_dim,) and (noise_dim,) row, or (n, obs_dim)
+    and (n, noise_dim) stacks; each row goes through ``net.forward``, so
+    its action does not depend on the other rows.
+    """
     obs = np.asarray(obs, dtype=np.float64)
     z = np.asarray(z, dtype=np.float64)
-    if obs.shape != (policy.obs_dim,):
+    if obs.shape[-1:] != (policy.obs_dim,):
         raise DimensionMismatch(
             f"obs shape {obs.shape} does not match obs_dim {policy.obs_dim}"
         )
-    if z.shape != (policy.noise_dim,):
+    if z.shape != obs.shape[:-1] + (policy.noise_dim,):
         raise DimensionMismatch(
-            f"noise shape {z.shape} does not match noise_dim {policy.noise_dim}"
+            f"noise shape {z.shape} does not match noise_dim {policy.noise_dim} "
+            f"for obs shape {obs.shape}"
         )
-    raw = net.forward(policy.params, np.concatenate([obs, z]))
+    raw = net.forward(policy.params, np.concatenate([obs, z], axis=-1))
     return policy.action_center + policy.action_halfwidth * raw
 
 
@@ -118,8 +126,8 @@ _CHECKPOINT_KINDS = {"noise_dim": "int", "action_center": "floats",
 
 def load_actor(path, checkpoint=None):
     """The actor saved at path. checkpoint is the (params, doc) pair of
-    ``net.load_checkpoint(path, {})``, for a caller that has read path."""
-    params, doc = checkpoint or net.load_checkpoint(path, {})
+    ``net.load_checkpoint(path)``, for a caller that has read path."""
+    params, doc = checkpoint or net.load_checkpoint(path)
     doc.setdefault("env_id", "")   # a checkpoint may leave its env unnamed
     with net.checkpoint_errors(path):
         net.check_json_types(doc, _CHECKPOINT_KINDS)

@@ -78,7 +78,7 @@ def cmd_train_bc(args):
 
 def _load_policy(path, spec):
     """The actor or BC policy saved at path, read once; it must fit spec's env."""
-    checkpoint = net.load_checkpoint(path, {})
+    checkpoint = net.load_checkpoint(path)
     if "log_std" in checkpoint[1]:
         policy = objectives.load_bc_policy(path, spec, checkpoint)
         params, obs_dim = policy.mean_net, policy.mean_net.n_in

@@ -65,6 +65,9 @@ def q_batch(critic, sa, want_cache=False):
 def bernoulli_entropy(p):
     """H(p) = -p ln p - (1-p) ln(1-p), natural log; exact 0 at p in {0, 1}."""
     p = np.asarray(p, dtype=np.float64)
+    if p.ndim and p.size and 0.0 < p.min() and p.max() < 1.0:
+        # every term is finite (a NaN fails both tests): skip the guards
+        return _interior_entropy(p)
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = p * np.log(p) + (1.0 - p) * np.log1p(-p)
     out = -np.where(np.isfinite(terms), terms, 0.0)

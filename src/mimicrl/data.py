@@ -114,6 +114,7 @@ class ReplayBuffer:
             next_obs=np.zeros((n, obs_dim)),
             done=np.zeros(n, dtype=bool),
         )
+        self._shapes = ((obs_dim,), (obs_dim,), (act_dim,))
         self._write = 0
         self._size = 0
 
@@ -124,14 +125,10 @@ class ReplayBuffer:
         obs = np.asarray(tr.obs, dtype=np.float64)
         act = np.asarray(tr.act, dtype=np.float64)
         next_obs = np.asarray(tr.next_obs, dtype=np.float64)
-        if obs.shape != (self.obs_dim,) or next_obs.shape != (self.obs_dim,):
+        if (obs.shape, next_obs.shape, act.shape) != self._shapes:
             raise DimensionMismatch(
-                f"observation shape {obs.shape}/{next_obs.shape} does not match "
-                f"obs_dim {self.obs_dim}"
-            )
-        if act.shape != (self.act_dim,):
-            raise DimensionMismatch(
-                f"action shape {act.shape} does not match act_dim {self.act_dim}"
+                f"obs/next_obs/act shapes {obs.shape}/{next_obs.shape}/{act.shape} "
+                f"do not match obs_dim {self.obs_dim} and act_dim {self.act_dim}"
             )
         i = self._write
         rows = self._rows
@@ -141,8 +138,11 @@ class ReplayBuffer:
         rows.act[i] = act
         rows.next_obs[i] = next_obs
         rows.done[i] = bool(tr.done)
-        self._write = (i + 1) % self.capacity
-        self._size = min(self._size + 1, self.capacity)
+        i += 1
+        # until the ring first wraps, the row count is the write position
+        if i > self._size:
+            self._size = i
+        self._write = 0 if i == self.capacity else i
 
     def sample_arrays(self, batch_size, rng):
         """Uniform-with-replacement batch, as reward-free arrays."""

@@ -40,7 +40,7 @@ class EnvSpec:
     dt: float
 
 
-@dataclass
+@dataclass(slots=True)
 class EnvState:
     env_id: str
     phys: tuple           # two environment-specific coordinates, as Python floats
@@ -126,26 +126,6 @@ def reset(env_id, seed):
     return state, _observe(env_id, p0, p1)
 
 
-def _check_action(spec, action):
-    """The action's components as Python floats, once shape and bounds hold.
-
-    Each component must lie in its closed [low, high] interval; NaN lies
-    in none, so it is rejected too.
-    """
-    action = np.asarray(action, dtype=np.float64)
-    if action.shape != (spec.act_dim,):
-        raise ActionBoundsError(
-            f"action shape {action.shape} does not match act_dim {spec.act_dim}"
-        )
-    values = action.tolist()
-    for a, (low, high) in zip(values, _ACTION_BOUNDS[spec.env_id]):
-        if not low <= a <= high:
-            raise ActionBoundsError(
-                f"action {action} outside bounds [{spec.action_low}, {spec.action_high}]"
-            )
-    return values
-
-
 def step(state, action):
     """Advance one step: (next_state, observation, reward, done).
 
@@ -153,32 +133,39 @@ def step(state, action):
     included) and on stepping a finished episode; nothing is clipped
     silently.
     """
-    spec = env_spec(state.env_id)
-    if state.step_index >= spec.horizon:
+    env_id = state.env_id
+    spec = env_spec(env_id)
+    t = state.step_index + 1
+    if t > spec.horizon:
         raise EpisodeFinished(
             f"episode already finished at step {state.step_index}/{spec.horizon}"
         )
-    a = _check_action(spec, action)[0]
-    if state.env_id == "linereacher-v0":
+    action = np.asarray(action, dtype=np.float64)
+    if action.shape != (spec.act_dim,):
+        raise ActionBoundsError(
+            f"action shape {action.shape} does not match act_dim {spec.act_dim}"
+        )
+    # one action component on every env; its closed [low, high] interval
+    # holds no NaN, so a NaN is rejected too
+    [a] = action.tolist()
+    [(low, high)] = _ACTION_BOUNDS[env_id]
+    if not low <= a <= high:
+        raise ActionBoundsError(
+            f"action {action} outside bounds [{spec.action_low}, {spec.action_high}]"
+        )
+    dt = spec.dt
+    if env_id == "linereacher-v0":
         x, v = state.phys
         reward = -(x * x + 0.1 * v * v + 0.001 * a * a)
-        x_new = x + v * spec.dt
-        v_new = min(max(v + a * spec.dt, -_MAX_VEL), _MAX_VEL)
-        p0, p1 = x_new, v_new
+        p0 = x + v * dt
+        p1 = min(max(v + a * dt, -_MAX_VEL), _MAX_VEL)
     else:
         theta, theta_dot = state.phys
         theta_acc = _GRAVITY_ACC * math.sin(theta) + (3.0 / (_M * _L * _L)) * a
-        theta_dot_new = min(max(theta_dot + theta_acc * spec.dt, -_MAX_SPEED), _MAX_SPEED)
-        theta_new = theta + theta_dot_new * spec.dt
-        reward = -(
-            wrap_angle(theta_new) ** 2
-            + 0.1 * theta_dot_new * theta_dot_new
-            + 0.001 * a * a
-        )
-        p0, p1 = theta_new, theta_dot_new
-    nxt = EnvState(env_id=state.env_id, phys=(p0, p1), step_index=state.step_index + 1)
-    done = nxt.step_index == spec.horizon
-    return nxt, _observe(state.env_id, p0, p1), reward, done
+        p1 = min(max(theta_dot + theta_acc * dt, -_MAX_SPEED), _MAX_SPEED)
+        p0 = theta + p1 * dt
+        reward = -(wrap_angle(p0) ** 2 + 0.1 * p1 * p1 + 0.001 * a * a)
+    return EnvState(env_id, (p0, p1), t), _observe(env_id, p0, p1), reward, t == spec.horizon
 
 
 def expert_action(env_id, observation):

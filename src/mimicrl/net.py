@@ -117,10 +117,17 @@ class NetworkParams:
     place, and ``set_flat(get_flat())`` is exact.
     """
 
-    layers: list[Layer] = field(default_factory=list)
+    layers: list[Layer]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
+    # the input width, the output width and the units of all layers
+    # (output included), read on every forward call
+    n_in: int = field(init=False, repr=False, compare=False)
+    n_out: int = field(init=False, repr=False, compare=False)
+    n_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not self.layers:
+            raise DimensionMismatch("'layers' holds no layer")
         for prev, nxt in zip(self.layers, self.layers[1:]):
             if prev.n_out != nxt.n_in:
                 raise DimensionMismatch(
@@ -131,14 +138,9 @@ class NetworkParams:
             w[...] = l.weights
             b[...] = l.bias
             l.weights, l.bias = w, b
-
-    @property
-    def n_in(self):
-        return self.layers[0].n_in
-
-    @property
-    def n_out(self):
-        return self.layers[-1].n_out
+        self.n_in = self.layers[0].n_in
+        self.n_out = self.layers[-1].n_out
+        self.n_units = sum(l.n_out for l in self.layers)
 
     @property
     def n_params(self):
@@ -213,7 +215,7 @@ def forward_batch(params, x, want_cache=False):
     # one allocation per pass: glibc then sizes its heap trim threshold
     # (twice the largest freed mmap chunk) to a whole pass, instead of
     # handing the heap back and faulting it in again on every pass
-    block = np.empty(n * sum(l.n_out for l in params.layers))
+    block = np.empty(n * params.n_units)
     a = x
     cache = [] if want_cache else None
     pos = 0
@@ -232,21 +234,24 @@ def forward_batch(params, x, want_cache=False):
 
 
 def forward(params, x):
-    """Single-vector forward pass: real[n_in] -> real[n_out].
+    """Per-row forward pass: real[n_in] -> real[n_out], or a stack of rows
+    real[n, n_in] -> real[n, n_out].
 
-    Same arithmetic as a one-row forward_batch, written out of place: at
-    one row numpy serves every array from its small-block cache, where
-    allocating operations are cheaper than in-place ones.
+    Each layer computes ``weights @ a[..., None]``: one matrix-vector
+    product per row, the same BLAS call whether the row comes alone or in
+    a stack. So each row's output is independent of its neighbours, bit
+    for bit. ``forward_batch`` is the gemm pass for training batches; its
+    rows can differ from these in the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (params.n_in,):
+    if x.ndim not in (1, 2) or x.shape[-1] != params.n_in:
         raise DimensionMismatch(
             f"input shape {x.shape} does not match network input dim {params.n_in}"
         )
-    a = x[None, :]
+    a = x[..., None]
     for l in params.layers:
-        a = _apply_activation(l.activation, a @ l.weights.T + l.bias)
-    return a[0]
+        a = _apply_activation(l.activation, l.weights @ a + l.bias[:, None])
+    return a[..., 0]
 
 
 def _backprop(params, upstream, cache, grad_views):
@@ -470,10 +475,11 @@ def checkpoint_errors(path):
         raise MimicError(f"checkpoint {path}: {e}") from None
 
 
-def load_checkpoint(path, kinds):
-    """Load a checkpoint JSON object whose layers, then keys of kinds, are
-    well formed; returns (params, full document). A missing key or a bad
-    value raises a MimicError that names path."""
+def load_checkpoint(path):
+    """Load a checkpoint JSON object whose layers are well formed; returns
+    (params, full document). A missing key or a bad value raises a
+    MimicError that names path; the caller checks its own keys inside
+    ``checkpoint_errors(path)``."""
     with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
         doc = json.load(f)
         if type(doc) is not dict:
@@ -481,8 +487,6 @@ def load_checkpoint(path, kinds):
         specs = doc["layers"]
         if type(specs) is not list or not all(type(s) is dict for s in specs):
             raise ValueError(f"layers must be a list of objects, got {reprlib.repr(specs)}")
-        if not specs:
-            raise DimensionMismatch("'layers' holds no layer")
         layers = []
         for spec in specs:
             check_json_types(spec, _LAYER_KINDS)
@@ -494,5 +498,4 @@ def load_checkpoint(path, kinds):
             layers.append(Layer(w.reshape(spec["out"], spec["in"]),
                                 np.asarray(spec["bias"]), spec["activation"]))
         params = NetworkParams(layers)
-        check_json_types(doc, kinds)
     return params, doc

@@ -59,6 +59,7 @@ class GaussianBCPolicy:
     action_high: np.ndarray
 
     def eval_action(self, obs):
+        """bc_act: one observation or an (n, obs_dim) stack."""
         return bc_act(self, obs)
 
 
@@ -100,7 +101,11 @@ def bc_nll_and_grads(policy, obs, act):
 
 
 def bc_act(policy, obs):
-    """Deterministic evaluation action: network mean clamped to bounds."""
+    """Deterministic evaluation action: network mean clamped to bounds.
+
+    obs is one observation or an (n, obs_dim) stack, row by row through
+    ``net.forward``.
+    """
     obs = np.asarray(obs, dtype=np.float64)
     mu = net.forward(policy.mean_net, obs)
     return np.clip(mu, policy.action_low, policy.action_high)
@@ -206,9 +211,9 @@ def save_bc_policy(policy, path):
 
 def load_bc_policy(path, spec, checkpoint=None):
     """Load a BC checkpoint; action bounds come from the EnvSpec. checkpoint
-    is the (params, doc) pair of ``net.load_checkpoint(path, {})``, for a
+    is the (params, doc) pair of ``net.load_checkpoint(path)``, for a
     caller that has read path."""
-    params, doc = checkpoint or net.load_checkpoint(path, {})
+    params, doc = checkpoint or net.load_checkpoint(path)
     with net.checkpoint_errors(path):
         net.check_json_types(doc, {"log_std": "floats"})
     return GaussianBCPolicy(

@@ -30,8 +30,8 @@ from . import actor as actor_mod
 from . import critic as critic_mod
 from . import net
 from .data import ExpertDataset, ReplayBuffer, Transition, save_dataset
-from .envs import env_spec, expert_action, rollout
-from .errors import ExpertGenerationError, NonFiniteError
+from .envs import env_spec, expert_action, reset, rollout, step
+from .errors import DimensionMismatch, ExpertGenerationError, NonFiniteError
 from .objectives import JsonConfig, save_config
 
 UPDATE_COLUMNS = ("global_step", "episode", "critic_loss", "actor_obj",
@@ -119,16 +119,20 @@ def build_learner(config, rng):
 
 def _transitions(raw, traj_id):
     """Transitions of one rollout's (obs, act, next_obs, reward, done) tuples."""
-    return [Transition(obs=o, act=a, next_obs=n, done=d, reward=r,
-                       traj_id=traj_id, t=i)
-            for i, (o, a, n, r, d) in enumerate(raw)]
+    # positional: Transition(obs, act, next_obs, done, reward, traj_id, t)
+    return [Transition(o, a, n, d, r, traj_id, i) for i, (o, a, n, r, d) in enumerate(raw)]
 
 
 def collect_episode(env_id, policy, buffer, rng, traj_id=0):
-    """Roll one full episode with sampled noise; push every transition."""
+    """Roll one full episode with sampled noise; push every transition.
+
+    The episode's noise is drawn as one (horizon, noise_dim) block: the
+    same numbers, and the same generator state after, as one draw per
+    step.
+    """
     ep_seed = int(rng.integers(0, 2**63))
-    raw, _ = rollout(env_id, ep_seed, lambda obs: actor_mod.act(
-        policy, obs, rng.standard_normal(policy.noise_dim)))
+    noise = iter(rng.standard_normal((env_spec(env_id).horizon, policy.noise_dim)))
+    raw, _ = rollout(env_id, ep_seed, lambda obs: actor_mod.act(policy, obs, next(noise)))
     for tr in _transitions(raw, traj_id):
         buffer.push(tr)
     return len(raw)
@@ -206,15 +210,31 @@ def update_step(state, expert_views, buffer, config, rng, episode=0):
 def evaluate(policy, env_id, n_episodes, seed):
     """Deterministic evaluation: episode seeds seed..seed+n-1, noise at 0.
 
+    The episodes run in lockstep: each step asks policy.eval_action for
+    the (n, obs_dim) stack of observations, then steps each env with its
+    row of the actions. Every env has a fixed horizon, so all episodes
+    end on the same step. eval_action works row by row, so each return
+    is bit-identical to rolling its episode alone.
+
     Returns (mean_return, std_return, returns). std is the population
     standard deviation (0 for a single episode).
     """
     if n_episodes < 1:
         raise ValueError(f"need at least one evaluation episode, got {n_episodes}")
-    returns = []
-    for i in range(n_episodes):
-        _, total = rollout(env_id, seed + i, policy.eval_action)
-        returns.append(total)
+    states, obs = zip(*(reset(env_id, seed + i) for i in range(n_episodes)))
+    states = list(states)
+    returns = [0.0] * n_episodes
+    done = False
+    while not done:
+        actions = policy.eval_action(np.array(obs))
+        if len(actions) != n_episodes:
+            raise DimensionMismatch(
+                f"eval_action gave {len(actions)} actions for {n_episodes} observations")
+        obs = []
+        for i, action in enumerate(actions):
+            states[i], o, reward, done = step(states[i], action)
+            returns[i] += reward
+            obs.append(o)
     arr = np.asarray(returns)
     return float(arr.mean()), float(arr.std()), returns
 

@@ -56,6 +56,31 @@ def test_act_rejects_wrong_dims():
         actor.act(pol, np.zeros(2), np.zeros(pol.noise_dim + 1))
 
 
+@pytest.mark.parametrize("noise_dim", [0, 1, 3])
+def test_act_on_a_stack_matches_one_row_calls_bit_for_bit(noise_dim):
+    spec = env_spec("pendulum-v0")
+    rng = np.random.default_rng(noise_dim)
+    pol = actor.make_actor(spec, rng, noise_dim=noise_dim)
+    pol.params.set_flat(3.0 * pol.params.get_flat())
+    for n in (1, 20):
+        obs = rng.standard_normal((n, spec.obs_dim))
+        z = rng.standard_normal((n, noise_dim))
+        got = actor.act(pol, obs, z)
+        assert got.shape == (n, spec.act_dim)
+        evaluated = pol.eval_action(obs)
+        for i in range(n):
+            assert got[i].tobytes() == actor.act(pol, obs[i], z[i]).tobytes()
+            assert evaluated[i].tobytes() == pol.eval_action(obs[i]).tobytes()
+
+
+def test_act_rejects_noise_rows_unlike_the_obs_rows():
+    pol = actor.make_actor(env_spec("linereacher-v0"), np.random.default_rng(4))
+    with pytest.raises(DimensionMismatch):
+        actor.act(pol, np.zeros((3, 2)), np.zeros((2, pol.noise_dim)))
+    with pytest.raises(DimensionMismatch):
+        actor.act(pol, np.zeros((3, 2)), np.zeros(pol.noise_dim))
+
+
 def test_noise_dim_zero_gives_deterministic_policy():
     rng = np.random.default_rng(7)
     pol = actor.make_actor(env_spec("linereacher-v0"), rng, noise_dim=0)

@@ -231,7 +231,9 @@ def test_checkpoint_round_trip(tmp_path):
     p = net.init_network([3, 8, 2], ["relu", "tanh"], rng)
     path = tmp_path / "net.ckpt"
     net.save_checkpoint(p, path, extra={"clamp_eps": 1e-6})
-    q, doc = net.load_checkpoint(path, {"clamp_eps": "float"})
+    q, doc = net.load_checkpoint(path)
+    with net.checkpoint_errors(path):
+        net.check_json_types(doc, {"clamp_eps": "float"})
     assert doc["clamp_eps"] == 1e-6
     assert [l["activation"] for l in doc["layers"]] == ["relu", "tanh"]
     assert doc["layers"][0]["in"] == 3 and doc["layers"][0]["out"] == 8
@@ -367,6 +369,32 @@ def test_engine_matches_reference_bit_for_bit(activation, seed):
         assert_engine_matches_reference(p, x, upstream)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("activation", net.ACTIVATIONS)
+def test_forward_on_a_stack_matches_one_row_calls_bit_for_bit(activation, order):
+    # each row of a stack gets the matrix-vector products of a one-row
+    # call, which are the reference's one-row (1, n_in) products
+    rng = np.random.default_rng([net.ACTIVATIONS.index(activation), ord(order)])
+    for _ in range(3):
+        p = random_network(rng, activation)
+        for n in (1, 2, 20):
+            x = np.asarray(3.0 * rng.standard_normal((n, p.n_in)), order=order)
+            out = net.forward(p, x)
+            assert out.shape == (n, p.n_out)
+            for row, got in zip(x, out):
+                row = np.ascontiguousarray(row)
+                want = reference_forward_backward(p, row[None], np.zeros((1, p.n_out)))[0][0]
+                assert_bits_equal(net.forward(p, row), want)
+                assert_bits_equal(got, want)
+
+
+def test_forward_rejects_other_ranks_and_widths():
+    p = single_layer([[2.0, 1.0]], [1.0])
+    for x in (np.array(1.0), np.ones((2, 3)), np.ones((2, 2, 2))):
+        with pytest.raises(DimensionMismatch):
+            net.forward(p, x)
+
+
 def reference_adam_step(flat, m, v, t, lr, g):
     """Adam step t by the textbook formula; returns the new (flat, m, v)."""
     b1, b2, eps = net.ADAM_BETA1, net.ADAM_BETA2, net.ADAM_EPS
@@ -416,7 +444,7 @@ def test_layer_arrays_are_views_into_flat(tmp_path):
     _assert_layers_view_flat(q)
     assert not np.shares_memory(q.flat, p.flat)
     net.save_checkpoint(p, tmp_path / "p.ckpt")
-    r, _ = net.load_checkpoint(tmp_path / "p.ckpt", {})
+    r, _ = net.load_checkpoint(tmp_path / "p.ckpt")
     _assert_layers_view_flat(r)
     assert np.array_equal(r.flat, p.flat)
     snapshot = p.get_flat()

@@ -114,6 +114,17 @@ def test_bc_act_zero_net_and_clamping():
     assert np.array_equal(objectives.bc_act(pol, obs), objectives.bc_act(pol, obs))
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_bc_act_on_a_stack_matches_one_row_calls_bit_for_bit(order):
+    pol = bc_policy(8, env_id="pendulum-v0", hidden=(64, 64))
+    pol.mean_net.set_flat(3.0 * pol.mean_net.get_flat())   # some means clip
+    obs = np.asarray(np.random.default_rng(8).standard_normal((20, 3)), order=order)
+    got = pol.eval_action(obs)
+    assert got.shape == (20, 1)
+    for row, action in zip(obs, got):
+        assert action.tobytes() == objectives.bc_act(pol, np.ascontiguousarray(row)).tobytes()
+
+
 def test_bc_recovers_linear_expert_on_training_states(tmp_path):
     dataset = generate_expert("linereacher-v0", 10, -100.0, seed=500)
     cfg = objectives.BCConfig(env_id="linereacher-v0", seed=0, steps=2500)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import pathlib
 
@@ -7,10 +8,10 @@ import pytest
 
 from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
-from mimicrl import net, trainer
+from mimicrl import net, objectives, trainer
 from mimicrl.data import ReplayBuffer, Transition, TransitionArrays, load_dataset
 from mimicrl.envs import env_spec
-from mimicrl.errors import ExpertGenerationError, NonFiniteError
+from mimicrl.errors import DimensionMismatch, ExpertGenerationError, NonFiniteError
 from test_critic import reference_loss_and_grads
 from test_envs import _ref_rollout
 from test_net import reference_adam_step, reference_forward_backward
@@ -517,7 +518,7 @@ def test_target_lag_is_tau_moving_average(dataset, monkeypatch):
 def test_evaluate_matches_independent_simulation():
     class ZeroPolicy:
         def eval_action(self, obs):
-            return np.zeros(1)
+            return np.zeros((len(obs), 1))   # one action row per observation row
 
     mean, std, returns = trainer.evaluate(ZeroPolicy(), "linereacher-v0", 5, 40)
 
@@ -539,13 +540,48 @@ def test_evaluate_matches_independent_simulation():
 def test_evaluate_single_episode_zero_std():
     class ZeroPolicy:
         def eval_action(self, obs):
-            return np.zeros(1)
+            return np.zeros((len(obs), 1))   # one action row per observation row
 
     mean, std, returns = trainer.evaluate(ZeroPolicy(), "linereacher-v0", 1, 0)
     assert std == 0.0
     assert len(returns) == 1
     again = trainer.evaluate(ZeroPolicy(), "linereacher-v0", 1, 0)
     assert again[0] == mean
+
+
+@pytest.mark.parametrize("env_id", ["linereacher-v0", "pendulum-v0"])
+def test_evaluate_matches_one_episode_at_a_time_reference_bit_for_bit(env_id):
+    # evaluate steps its episodes in lockstep on a stack of observations;
+    # the reference rolls each episode alone, with a one-row forward
+    spec = env_spec(env_id)
+    rng = np.random.default_rng(17)
+    actor = actor_mod.make_actor(spec, rng)
+    bc = objectives.make_bc_policy(spec, rng)
+    bc.mean_net.set_flat(4.0 * bc.mean_net.get_flat())   # so the clip acts too
+
+    def one_row(params, x):
+        return reference_forward_backward(params, x[None], np.zeros((1, params.n_out)))[0][0]
+
+    references = [
+        (actor, lambda obs: actor.action_center + actor.action_halfwidth * one_row(
+            actor.params, np.concatenate([obs, np.zeros(actor.noise_dim)]))),
+        (bc, lambda obs: np.clip(one_row(bc.mean_net, obs), bc.action_low, bc.action_high)),
+    ]
+    for policy, ref_action in references:
+        for n, seed in ((1, 5), (20, 300)):
+            mean, std, returns = trainer.evaluate(policy, env_id, n, seed)
+            want = [_ref_rollout(env_id, seed + i, ref_action)[1] for i in range(n)]
+            assert np.array(returns).tobytes() == np.array(want).tobytes(), (type(policy).__name__, n)
+            assert (mean, std) == (float(np.mean(want)), float(np.std(want)))
+
+
+def test_evaluate_rejects_an_action_count_unlike_the_episode_count():
+    class OneRowPolicy:
+        def eval_action(self, obs):
+            return np.zeros((1, 1))
+
+    with pytest.raises(DimensionMismatch, match="1 actions for 3 observations"):
+        trainer.evaluate(OneRowPolicy(), "linereacher-v0", 3, 0)
 
 
 @pytest.mark.parametrize("n_episodes", [0, -3])
@@ -604,6 +640,15 @@ def test_generate_expert_round_trips_through_file(tmp_path):
     back = load_dataset(path)
     assert back.return_stats == ds.return_stats
     assert len(back.transitions) == len(ds.transitions)
+
+
+def test_generate_expert_file_bytes_are_golden(tmp_path):
+    # linereacher is IEEE float arithmetic over PCG64 draws, so these bytes
+    # hold on any host; seeds 70 and 71 miss the threshold, 72-74 are kept
+    path = tmp_path / "exp.jsonl"
+    trainer.generate_expert("linereacher-v0", 3, -20.0, seed=70, out_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "00d3ec2fa4393bb69d512b2af3df1e506fe72e04eb5c1c3b3fa05bb27206389f"
 
 
 def test_generate_expert_fails_with_diagnostics_on_impossible_threshold():
