@@ -7,7 +7,7 @@ line is metadata::
      "horizon", "n_trajectories", "filter_threshold",
      "return_mean", "return_min", "return_max"}
 
-and every following line is one transition::
+and every following line is one transition, in any order::
 
     {"traj_id", "t", "obs", "act", "next_obs", "done", "reward"}
 
@@ -17,17 +17,16 @@ from the registry, checks every value's JSON type, and requires line 1
 to equal ``metadata`` of the dataset it read (return stats to 1e-9).
 
 Of stored data, only expert datasets keep rewards. The return filter runs
-once, in ``trainer.generate_expert``; ExpertDataset checks that every
-trajectory it holds clears the recorded filter threshold. The replay
-buffer does not store rewards at all, and training code receives
-TransitionArrays views, which have no reward field, so no update can
-read a reward.
+once, in ``trainer.generate_expert``; ExpertDataset checks, in (traj_id, t)
+order, that every trajectory is t = 0..horizon-1 with done only at the
+last and clears the recorded filter threshold. The replay buffer does not
+store rewards at all, and training code receives TransitionArrays views,
+which have no reward field, so no update can read a reward.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,51 +151,63 @@ class ReplayBuffer:
 
 
 class ExpertDataset:
-    """Static buffer of filtered expert trajectories plus env metadata."""
+    """Static buffer of filtered expert trajectories plus env metadata; a
+    fault's DatasetFormatError.index is the offending record's position."""
 
     def __init__(self, spec, transitions, filter_threshold):
         self.spec = spec
-        self.transitions = list(transitions)
+        self.transitions = trs = list(transitions)
         self.filter_threshold = float(filter_threshold)
-        by_id = {}
-        for tr in self.transitions:
-            by_id.setdefault(tr.traj_id, []).append(tr)
-        if not by_id:
+        if not trs:
             raise DatasetFormatError("dataset contains no trajectories")
-        returns = []
-        for traj_id in sorted(by_id):
-            traj = sorted(by_id[traj_id], key=lambda tr: tr.t)
-            ts = [tr.t for tr in traj]
-            if ts != list(range(spec.horizon)):
-                want, got = Counter(range(spec.horizon)), Counter(ts)
-                raise DatasetFormatError(
-                    f"trajectory {traj_id} is incomplete: expected t = 0..{spec.horizon - 1}"
-                    f" once each; missing t = {sorted((want - got).elements())}, extra "
-                    f"t = {sorted((got - want).elements())}",
-                    record=_first_misplaced(by_id[traj_id], spec.horizon),
-                )
-            for tr in traj:
-                if tr.done != (tr.t == spec.horizon - 1):
-                    raise DatasetFormatError(
-                        f"trajectory {traj_id}: done flag at t={tr.t} "
-                        f"inconsistent with horizon {spec.horizon}", record=tr,
-                    )
-            returns.append(sum(tr.reward for tr in traj))
+        n, horizon = len(trs), spec.horizon
+        ids = np.array([tr.traj_id for tr in trs])
+        ts = np.array([tr.t for tr in trs])
+        done = np.array([tr.done for tr in trs], dtype=bool)
+        order = np.lexsort((ts, ids))      # stable: the records in (traj_id, t) order
+        # position j must hold step j % horizon of the trajectory whose
+        # first record is at position j - j % horizon
+        j = np.arange(n)
+        step = j % horizon
+        found = ids[order], ts[order], done[order]
+        want = found[0][j - step], step, step == horizon - 1
+        misplaced = np.flatnonzero(np.any([f != w for f, w in zip(found, want)], axis=0))
+        if len(misplaced):
+            k = misplaced[0]
+            raise DatasetFormatError(
+                f"expected (traj_id, t, done) = ({', '.join(str(c[k]) for c in want)}), "
+                f"found ({', '.join(str(c[k]) for c in found)})", index=int(order[k]),
+            )
+        # what the position check misses: a last trajectory cut short and, at
+        # horizon 1, a traj_id that starts two trajectories
+        firsts = found[0][::horizon]
+        miscounted = np.flatnonzero(np.r_[False, firsts[1:] == firsts[:-1]]
+                                    | (j[::horizon] + horizon > n))
+        if len(miscounted):
+            k = miscounted[0] * horizon
+            raise DatasetFormatError(
+                f"trajectory {found[0][k]} does not hold t = 0..{horizon - 1} once "
+                f"each", index=int(order[k]),
+            )
+        # each trajectory's return, summed in t order
+        rewards = [trs[i].reward for i in order.tolist()]
+        returns = [sum(rewards[k:k + horizon]) for k in range(0, n, horizon)]
         if min(returns) <= self.filter_threshold:
-            worst = sorted(by_id)[returns.index(min(returns))]
+            k = returns.index(min(returns)) * horizon
             raise DatasetFormatError(
                 f"trajectory return {min(returns)} does not exceed the recorded "
-                f"filter threshold {self.filter_threshold}", record=by_id[worst][0],
+                f"filter threshold {self.filter_threshold}", index=int(order[k]),
             )
+        del ids, ts, order, rewards, j, step, found, want   # before the arrays below
         self.n_trajectories = len(returns)
         self.return_stats = (
             float(np.mean(returns)), float(min(returns)), float(max(returns)),
         )
         self._arrays = TransitionArrays(
-            obs=np.array([tr.obs for tr in self.transitions]),
-            act=np.array([tr.act for tr in self.transitions]),
-            next_obs=np.array([tr.next_obs for tr in self.transitions]),
-            done=np.array([tr.done for tr in self.transitions], dtype=bool),
+            obs=np.array([tr.obs for tr in trs]),
+            act=np.array([tr.act for tr in trs]),
+            next_obs=np.array([tr.next_obs for tr in trs]),
+            done=done,
         )
         obs_dim, act_dim = self._arrays.obs.shape[1], self._arrays.act.shape[1]
         if obs_dim != spec.obs_dim or act_dim != spec.act_dim:
@@ -211,17 +222,6 @@ class ExpertDataset:
     def training_arrays(self):
         """Reward-stripped view of every transition."""
         return self._arrays
-
-
-def _first_misplaced(traj, horizon):
-    """The first record of traj whose t repeats an earlier record's or lies
-    outside 0..horizon-1; the first record if none does (records are missing)."""
-    seen = set()
-    for tr in traj:
-        if tr.t in seen or not 0 <= tr.t < horizon:
-            return tr
-        seen.add(tr.t)
-    return traj[0]
 
 
 def metadata(dataset):
@@ -318,10 +318,9 @@ def load_dataset(path):
     try:
         dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
     except DatasetFormatError as e:
-        if e.record is None:
+        if e.index is None:
             raise
-        line = next(n for n, tr in enumerate(transitions, start=2) if tr is e.record)
-        raise DatasetFormatError(e.args[0], line=line) from None
+        raise DatasetFormatError(e.args[0], line=e.index + 2) from None
     for key, value in metadata(dataset).items():
         recorded = meta[key]
         if recorded != value and not (key.startswith("return_")

@@ -29,14 +29,14 @@ class DatasetFormatError(MimicError, ValueError):
     """A dataset file failed to parse or validate.
 
     ``line`` is the 1-based line number of the offending record, or None
-    when the problem is not tied to a single line. ``record`` is the
-    offending Transition when ExpertDataset rejects one, so that
-    ``load_dataset`` can name its line.
+    when the problem is not tied to a single line. ``index`` is the
+    offending record's position in the list ExpertDataset checks, so
+    that ``load_dataset`` names its line, ``index + 2``.
     """
 
-    def __init__(self, message, line=None, record=None):
+    def __init__(self, message, line=None, index=None):
         self.line = line
-        self.record = record
+        self.index = index
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

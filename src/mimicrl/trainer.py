@@ -333,6 +333,10 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
     Episode seeds increment from seed. Fails with pass-rate diagnostics
     if fewer than n_target of 100 * n_target attempts clear threshold.
     """
+    if n_target < 1:
+        raise ValueError(f"need at least one trajectory, got {n_target}")
+    if np.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
     spec = env_spec(env_id)
     max_attempts = 100 * n_target
     kept = []

@@ -48,6 +48,24 @@ def test_gen_expert_missing_out_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--n", "0", "need at least one trajectory, got 0"),
+    ("--threshold", "nan", "threshold must be a number, got nan"),
+])
+def test_gen_expert_no_trajectory_or_nan_threshold_exit_1_writes_nothing(
+        tmp_path, capsys, monkeypatch, flag, value, message):
+    rolled = []
+    monkeypatch.setattr(trainer, "rollout", lambda *a: rolled.append(a))
+    args = {"--n": "2", "--threshold": "-100", flag: value}
+    argv = ["gen-expert", "--env", "linereacher-v0", "--seed", "0",
+            "--out", str(tmp_path / "e.jsonl")]
+    rc = cli.main(argv + [f"{k}={v}" for k, v in args.items()])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert rolled == []
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["inspect", "--data", "x.jsonl", "--verbose"])

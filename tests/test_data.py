@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from mimicrl import data
-from mimicrl.envs import env_spec
+from mimicrl.envs import EnvSpec, env_spec
 from mimicrl.errors import DatasetFormatError, DimensionMismatch
 from mimicrl.trainer import generate_expert
 
@@ -259,8 +259,63 @@ def test_incomplete_trajectory_error_names_the_t_values(tmp_path):
     lines[3] = json.dumps(rec)
     (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
     with pytest.raises(DatasetFormatError,
-                       match=r"trajectory 0 .*missing t = \[2\], extra t = \[1\]$"):
+                       match=r"^line 4: expected \(traj_id, t, done\) = \(0, 2, False\), "
+                             r"found \(0, 1, False\)$"):
         data.load_dataset(tmp_path / "bad.jsonl")
+
+
+def _without_done(line):
+    rec = json.loads(line)
+    rec["done"] = False
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("n,edit,message", [
+    # deleting trajectory 0's t = 3 (line 5): the gap shows at t = 4, now line 5
+    (3, lambda lines: lines[:4] + lines[5:],
+     "line 5: expected (traj_id, t, done) = (0, 3, False), found (0, 4, False)"),
+    # a file cut after whole lines: its partial last trajectory's first record
+    (4, lambda lines: lines[:-3],
+     "line 602: trajectory 3 does not hold t = 0..199 once each"),
+    # trajectory 0's t = 8 (line 10) again as line 21: the later copy
+    (3, lambda lines: lines[:20] + [lines[9]] + lines[20:],
+     "line 21: expected (traj_id, t, done) = (0, 9, False), found (0, 8, False)"),
+    # trajectory 0's last record (line 201) without its done flag
+    (3, lambda lines: lines[:200] + [_without_done(lines[200])] + lines[201:],
+     "line 201: expected (traj_id, t, done) = (0, 199, True), found (0, 199, False)"),
+])
+def test_trajectory_fault_names_the_first_record_out_of_place(tmp_path, n, edit, message):
+    expert_fixture(tmp_path, n=n)
+    lines = (tmp_path / "exp.jsonl").read_text().splitlines()
+    (tmp_path / "bad.jsonl").write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(DatasetFormatError) as exc:
+        data.load_dataset(tmp_path / "bad.jsonl")
+    assert str(exc.value) == message
+    assert message.startswith(f"line {exc.value.line}: ")
+
+
+def test_return_below_threshold_names_the_lowest_trajectorys_first_record(tmp_path):
+    ds = expert_fixture(tmp_path)
+    returns = [sum(tr.reward for tr in ds.transitions[200 * k:200 * (k + 1)])
+               for k in range(3)]
+    lines = (tmp_path / "exp.jsonl").read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["filter_threshold"] = max(returns)   # every trajectory fails
+    lines[0] = json.dumps(meta)
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError, match="does not exceed the recorded") as exc:
+        data.load_dataset(tmp_path / "bad.jsonl")
+    assert exc.value.line == 2 + 200 * returns.index(min(returns))
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+def test_a_traj_id_that_starts_two_trajectories_is_refused(horizon):
+    spec = EnvSpec("h-v0", 2, 1, np.array([-1.0]), np.array([1.0]), horizon, 0.0)
+    records = [make_tr(i, horizon=horizon, traj_id=k)
+               for k in (7, 7, 8) for i in range(horizon)]
+    with pytest.raises(DatasetFormatError) as exc:
+        data.ExpertDataset(spec, records, -1.0)
+    assert exc.value.index == horizon      # the second trajectory's first record
 
 
 def test_dataset_rejects_return_below_threshold():

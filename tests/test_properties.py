@@ -127,6 +127,37 @@ def test_dataset_save_load_round_trip_is_bit_exact(dataset):
         assert (a.done, a.traj_id, a.t) == (b.done, b.traj_id, b.t)
 
 
+# a valid dataset's records in any order, under other distinct traj_ids,
+# build the same dataset, in memory and read back from a file
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(st.data())
+def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw):
+    dataset = data_draw.draw(datasets())
+    records = dataset.transitions
+    perm = data_draw.draw(st.permutations(range(len(records))))
+    # past int64 too; sorted, so the trajectories keep their order and
+    # return_mean adds its returns in the same order
+    ids = sorted(data_draw.draw(st.lists(st.integers(-2**70, 2**70), unique=True,
+                                         min_size=dataset.n_trajectories,
+                                         max_size=dataset.n_trajectories)))
+    shuffled = [data.Transition(tr.obs, tr.act, tr.next_obs, tr.done, tr.reward,
+                                ids[tr.traj_id], tr.t)
+                for tr in (records[k] for k in perm)]
+    built = data.ExpertDataset(dataset.spec, shuffled, dataset.filter_threshold)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        data.save_dataset(built, path)
+        with mock.patch.dict(envs._SPECS, {"property-v0": dataset.spec}):
+            loaded = data.load_dataset(path)
+    want = dataset.training_arrays().take(perm)
+    for ds in (built, loaded):
+        assert ds.n_trajectories == dataset.n_trajectories
+        assert _bits(ds.return_stats) == _bits(dataset.return_stats)
+        got = ds.training_arrays()
+        for name in ("obs", "act", "next_obs", "done"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
 class _EveryRow:
     """Generator stand-in whose draw is every row index in order, so that
     sample_arrays returns a buffer's whole contents."""
