@@ -6,9 +6,18 @@ shape. Rewards shown here are evaluation-only; the imitation learner
 never reads them.
 """
 
+import math
+
 import numpy as np
 
 from mimicrl import envs
+
+
+def ends_upright(raw):
+    """Whether a pendulum episode's mean |theta| over its last 50 steps is
+    under 0.3 (theta = 0 is upright)."""
+    return np.mean([abs(math.atan2(n[1], n[0])) for _, _, n, _, _ in raw[-50:]]) < 0.3
+
 
 for env_id in envs.ENV_IDS:
     spec = envs.env_spec(env_id)
@@ -17,14 +26,18 @@ for env_id in envs.ENV_IDS:
           f"bounds [{spec.action_low[0]}, {spec.action_high[0]}], "
           f"horizon {spec.horizon}, dt {spec.dt}")
 
-    expert = [envs.rollout(env_id, s, lambda o: envs.expert_action(env_id, o))[1]
-              for s in range(50)]
+    episodes = [envs.rollout(env_id, s, lambda o: envs.expert_action(env_id, o))
+                for s in range(50)]
+    expert = [total for _, total in episodes]
     zero = [envs.rollout(env_id, s, lambda o: np.zeros(spec.act_dim))[1]
             for s in range(50)]
     print(f"expert over 50 seeded episodes: mean {np.mean(expert):9.2f}  "
           f"min {np.min(expert):9.2f}  max {np.max(expert):9.2f}")
     print(f"zero policy, same seeds:        mean {np.mean(zero):9.2f}  "
           f"min {np.min(zero):9.2f}  max {np.max(zero):9.2f}")
+    if env_id == "pendulum-v0":
+        upright = sum(ends_upright(raw) for raw, _ in episodes)
+        print(f"expert episodes ending upright:  {upright} of {len(episodes)}")
     print()
 
 print("== one linereacher trajectory under the PD expert ==")

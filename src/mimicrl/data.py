@@ -22,6 +22,10 @@ order, that every trajectory is t = 0..horizon-1 with done only at the
 last and clears the recorded filter threshold. The replay buffer does not
 store rewards at all, and training code receives TransitionArrays views,
 which have no reward field, so no update can read a reward.
+
+An expert dataset stores each field once, as a column; its records are
+row views over those columns, and ``load_dataset`` writes each checked
+line straight into them, so no per-record arrays are built.
 """
 
 from __future__ import annotations
@@ -150,26 +154,102 @@ class ReplayBuffer:
         return self._rows.take(rng.integers(0, self._size, size=batch_size))
 
 
+@dataclass(slots=True)
+class _Columns:
+    """An expert dataset's fields, one column each; row i is record i."""
+
+    obs: np.ndarray        # (n, obs_dim) float64
+    act: np.ndarray        # (n, act_dim) float64
+    next_obs: np.ndarray   # (n, obs_dim) float64
+    done: np.ndarray       # (n,) bool
+    reward: np.ndarray     # (n,) float64, the one column a record writes
+    traj_id: list          # Python ints, so ids past int64 still work
+    t: list
+
+
+def _stacked(records):
+    """The records' fields, stacked into columns."""
+    def column(name, dtype):
+        return np.array([getattr(tr, name) for tr in records], dtype=dtype)
+    return _Columns(column("obs", np.float64), column("act", np.float64),
+                    column("next_obs", np.float64), column("done", bool),
+                    column("reward", np.float64),
+                    [tr.traj_id for tr in records], [tr.t for tr in records])
+
+
+def _resize(columns, n):
+    """Give columns' arrays n rows in place, any new rows zero. They are
+    reallocated, so no view of them may exist yet."""
+    for column in (columns.obs, columns.act, columns.next_obs, columns.done,
+                   columns.reward):
+        column.resize((n,) + column.shape[1:], refcheck=False)
+
+
+class _Record:
+    """Record i of an expert dataset, read from its columns.
+
+    It holds the columns and i, never the dataset, so it is freed without
+    a cyclic collection. obs, act and next_obs are read-only row views;
+    reward reads and writes the reward column.
+    """
+
+    __slots__ = ("_columns", "_i")
+
+    def __init__(self, columns, i):
+        self._columns = columns
+        self._i = i
+
+    obs = property(lambda self: self._columns.obs[self._i])
+    act = property(lambda self: self._columns.act[self._i])
+    next_obs = property(lambda self: self._columns.next_obs[self._i])
+    done = property(lambda self: bool(self._columns.done[self._i]))
+    traj_id = property(lambda self: self._columns.traj_id[self._i])
+    t = property(lambda self: self._columns.t[self._i])
+
+    @property
+    def reward(self):
+        return float(self._columns.reward[self._i])
+
+    @reward.setter
+    def reward(self, value):
+        self._columns.reward[self._i] = value
+
+
 class ExpertDataset:
-    """Static buffer of filtered expert trajectories plus env metadata; a
-    fault's DatasetFormatError.index is the offending record's position."""
+    """Static buffer of filtered expert trajectories plus env metadata.
+
+    Each field is stored once, as a column: ``training_arrays()`` returns
+    the obs, act, next_obs and done columns (read-only), and
+    ``transitions[i]`` is a record whose fields read row i. The given
+    records are stacked into columns, then checked in (traj_id, t) order;
+    a fault's DatasetFormatError.index is the offending record's position.
+    """
 
     def __init__(self, spec, transitions, filter_threshold):
+        self._build(spec, _stacked(list(transitions)), filter_threshold)
+
+    @classmethod
+    def _of_columns(cls, spec, columns, filter_threshold):
+        """The dataset whose records are the rows of columns, checked."""
+        dataset = cls.__new__(cls)
+        dataset._build(spec, columns, filter_threshold)
+        return dataset
+
+    def _build(self, spec, columns, filter_threshold):
         self.spec = spec
-        self.transitions = trs = list(transitions)
         self.filter_threshold = float(filter_threshold)
-        if not trs:
+        n, horizon = len(columns.t), spec.horizon
+        if not n:
             raise DatasetFormatError("dataset contains no trajectories")
-        n, horizon = len(trs), spec.horizon
-        ids = np.array([tr.traj_id for tr in trs])
-        ts = np.array([tr.t for tr in trs])
-        done = np.array([tr.done for tr in trs], dtype=bool)
+        ids = np.array(columns.traj_id)
+        ts = np.array(columns.t)
         order = np.lexsort((ts, ids))      # stable: the records in (traj_id, t) order
+        found = ids[order], ts[order], columns.done[order]
+        del ids, ts
         # position j must hold step j % horizon of the trajectory whose
         # first record is at position j - j % horizon
         j = np.arange(n)
         step = j % horizon
-        found = ids[order], ts[order], done[order]
         want = found[0][j - step], step, step == horizon - 1
         misplaced = np.flatnonzero(np.any([f != w for f, w in zip(found, want)], axis=0))
         if len(misplaced):
@@ -189,38 +269,40 @@ class ExpertDataset:
                 f"trajectory {found[0][k]} does not hold t = 0..{horizon - 1} once "
                 f"each", index=int(order[k]),
             )
-        # each trajectory's return, summed in t order
-        rewards = [trs[i].reward for i in order.tolist()]
-        returns = [sum(rewards[k:k + horizon]) for k in range(0, n, horizon)]
+        del j, step, found, want
+        # each trajectory's return, summed as Python floats in t order
+        rewards = columns.reward[order]
+        returns = [sum(rewards[k:k + horizon].tolist()) for k in range(0, n, horizon)]
         if min(returns) <= self.filter_threshold:
             k = returns.index(min(returns)) * horizon
             raise DatasetFormatError(
                 f"trajectory return {min(returns)} does not exceed the recorded "
                 f"filter threshold {self.filter_threshold}", index=int(order[k]),
             )
-        del ids, ts, order, rewards, j, step, found, want   # before the arrays below
+        del order, rewards   # the check's arrays go before the records come
         self.n_trajectories = len(returns)
         self.return_stats = (
             float(np.mean(returns)), float(min(returns)), float(max(returns)),
         )
-        self._arrays = TransitionArrays(
-            obs=np.array([tr.obs for tr in trs]),
-            act=np.array([tr.act for tr in trs]),
-            next_obs=np.array([tr.next_obs for tr in trs]),
-            done=done,
-        )
-        obs_dim, act_dim = self._arrays.obs.shape[1], self._arrays.act.shape[1]
+        obs_dim, act_dim = columns.obs.shape[1], columns.act.shape[1]
         if obs_dim != spec.obs_dim or act_dim != spec.act_dim:
             raise DatasetFormatError(
                 f"transition dims {obs_dim}/{act_dim} do not match spec dims "
                 f"{spec.obs_dim}/{spec.act_dim}"
             )
+        self._arrays = TransitionArrays(columns.obs, columns.act, columns.next_obs,
+                                        columns.done)
+        for column in (columns.obs, columns.act, columns.next_obs, columns.done):
+            column.flags.writeable = False
+        self._columns = columns
+        self.transitions = [_Record(columns, i) for i in range(n)]
 
     def __len__(self):
         return len(self.transitions)
 
     def training_arrays(self):
-        """Reward-stripped view of every transition."""
+        """Reward-stripped view of every transition: the dataset's own
+        read-only columns."""
         return self._arrays
 
 
@@ -246,17 +328,20 @@ def metadata(dataset):
 
 def save_dataset(dataset, path):
     """Write dataset to path as JSON lines, atomically."""
+    cols = dataset._columns
     with net.atomic_open(path) as f:
         f.write(json.dumps(metadata(dataset)) + "\n")
-        for tr in dataset.transitions:
+        for traj_id, t, obs, act, next_obs, done, reward in zip(
+                cols.traj_id, cols.t, cols.obs, cols.act, cols.next_obs, cols.done,
+                cols.reward):
             rec = {
-                "traj_id": tr.traj_id,
-                "t": tr.t,
-                "obs": np.asarray(tr.obs).tolist(),
-                "act": np.asarray(tr.act).tolist(),
-                "next_obs": np.asarray(tr.next_obs).tolist(),
-                "done": bool(tr.done),
-                "reward": float(tr.reward),
+                "traj_id": traj_id,
+                "t": t,
+                "obs": obs.tolist(),
+                "act": act.tolist(),
+                "next_obs": next_obs.tolist(),
+                "done": bool(done),
+                "reward": float(reward),
             }
             f.write(json.dumps(rec) + "\n")
 
@@ -292,31 +377,41 @@ def load_dataset(path):
             spec = env_spec(meta["env_id"])
         except UnknownEnvError as e:
             raise DatasetFormatError(e.args[0], line=1) from None
-        transitions = []
+        # each checked line goes straight into columns that start at
+        # _FIRST_ROWS rows and double as lines arrive
+        cols = _Columns(np.zeros((_FIRST_ROWS, spec.obs_dim)),
+                        np.zeros((_FIRST_ROWS, spec.act_dim)),
+                        np.zeros((_FIRST_ROWS, spec.obs_dim)),
+                        np.zeros(_FIRST_ROWS, dtype=bool), np.zeros(_FIRST_ROWS), [], [])
+        n = 0
         for line_no, raw in enumerate(f, start=2):
             if not raw.strip():
                 raise DatasetFormatError("blank line inside dataset", line=line_no)
             rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
-            tr = Transition(
-                obs=np.asarray(rec["obs"], dtype=np.float64),
-                act=np.asarray(rec["act"], dtype=np.float64),
-                next_obs=np.asarray(rec["next_obs"], dtype=np.float64),
-                done=rec["done"], reward=float(rec["reward"]),
-                traj_id=rec["traj_id"], t=rec["t"],
-            )
-            if tr.obs.shape != (spec.obs_dim,) or tr.next_obs.shape != (spec.obs_dim,):
+            obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
+            if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
                 raise DatasetFormatError(
-                    f"obs length {tr.obs.shape} does not match obs_dim {spec.obs_dim}",
+                    f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
                     line=line_no,
                 )
-            if tr.act.shape != (spec.act_dim,):
+            if len(act) != spec.act_dim:
                 raise DatasetFormatError(
-                    f"act length {tr.act.shape} does not match act_dim {spec.act_dim}",
+                    f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
                     line=line_no,
                 )
-            transitions.append(tr)
+            if n == len(cols.reward):
+                _resize(cols, 2 * n)
+            cols.obs[n] = obs
+            cols.act[n] = act
+            cols.next_obs[n] = next_obs
+            cols.done[n] = rec["done"]
+            cols.reward[n] = rec["reward"]
+            cols.traj_id.append(rec["traj_id"])
+            cols.t.append(rec["t"])
+            n += 1
+    _resize(cols, n)
     try:
-        dataset = ExpertDataset(spec, transitions, meta["filter_threshold"])
+        dataset = ExpertDataset._of_columns(spec, cols, meta["filter_threshold"])
     except DatasetFormatError as e:
         if e.index is None:
             raise

@@ -186,7 +186,8 @@ def expert_action(env_id, observation):
         if abs(theta) < 0.3 and abs(theta_dot) < 2.0:
             u = -16.0 * theta - 4.0 * theta_dot
         else:
-            energy = 0.5 * theta_dot * theta_dot - _GRAVITY_ACC * cos_t
+            # the energy step conserves at zero torque; upright at rest it is G
+            energy = 0.5 * theta_dot * theta_dot + _GRAVITY_ACC * cos_t
             u = 6.0 * theta_dot * (_GRAVITY_ACC - energy)
     return np.array([min(max(u, low), high)])
 

@@ -30,7 +30,7 @@ class DatasetFormatError(MimicError, ValueError):
 
     ``line`` is the 1-based line number of the offending record, or None
     when the problem is not tied to a single line. ``index`` is the
-    offending record's position in the list ExpertDataset checks, so
+    offending record's row in the columns ExpertDataset checks, so
     that ``load_dataset`` names its line, ``index + 2``.
     """
 

@@ -33,16 +33,6 @@ from .errors import DimensionMismatch, MimicError, NonFiniteError
 ACTIVATIONS = ("tanh", "relu", "identity", "sigmoid")
 
 
-def _apply_activation(name, z):
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    return z
-
-
 def _activate(name, z):
     """Apply the activation to the pre-activation z in place."""
     if name == "tanh":
@@ -250,7 +240,8 @@ def forward(params, x):
         )
     a = x[..., None]
     for l in params.layers:
-        a = _apply_activation(l.activation, l.weights @ a + l.bias[:, None])
+        a = l.weights @ a + l.bias[:, None]
+        _activate(l.activation, a)
     return a[..., 0]
 
 

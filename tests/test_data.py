@@ -157,6 +157,56 @@ def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
     assert peak <= 1.25 * retained
 
 
+def test_a_loaded_record_retains_at_most_200_bytes(tmp_path):
+    # each field is stored once, in the dataset's columns; a record holds
+    # only the columns and its row index
+    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
+    retained, _, ds = traced_peak_and_result(
+        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    assert len(ds) == 2000
+    assert retained / len(ds) <= 200
+    # the columns grew past their first 1,024 rows and lost none
+    data.save_dataset(ds, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "big.jsonl").read_bytes()
+
+
+def test_records_are_read_only_row_views_of_the_training_columns(tmp_path):
+    ds = expert_fixture(tmp_path)
+    tr = ds.transitions[0]
+    assert np.shares_memory(ds.training_arrays().obs, tr.obs)
+    for name in ("obs", "act", "next_obs"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(tr, name)[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.training_arrays().done[0] = True
+
+
+def test_setting_a_reward_changes_what_is_saved_not_the_return_stats(tmp_path):
+    ds = expert_fixture(tmp_path)
+    stats = ds.return_stats
+    ds.transitions[5].reward = 0.25
+    assert ds.transitions[5].reward == 0.25
+    assert ds.return_stats == stats
+    data.save_dataset(ds, tmp_path / "again.jsonl")
+    lines = (tmp_path / "again.jsonl").read_text().splitlines()
+    assert json.loads(lines[6])["reward"] == 0.25
+    assert lines[0] == (tmp_path / "exp.jsonl").read_text().splitlines()[0]
+
+
+def test_a_huge_n_trajectories_on_line_1_is_a_mismatch_not_an_allocation(tmp_path):
+    # the loader's columns grow as lines arrive; line 1 does not size them
+    expert_fixture(tmp_path)
+    lines = (tmp_path / "exp.jsonl").read_text().splitlines()
+    meta = json.loads(lines[0])
+    meta["n_trajectories"] = 10**12
+    lines[0] = json.dumps(meta)
+    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+    with pytest.raises(DatasetFormatError,
+                       match=r"^line 1: n_trajectories is 1000000000000, but the env "
+                             r"and records give 3$"):
+        data.load_dataset(tmp_path / "bad.jsonl")
+
+
 def test_crlf_copy_loads_to_the_same_dataset(tmp_path):
     expert_fixture(tmp_path)
     lf = tmp_path / "exp.jsonl"

@@ -149,6 +149,20 @@ def test_expert_beats_zero_policy_on_linereacher():
     assert np.mean(expert) - np.mean(zero) > 50.0
 
 
+def test_expert_beats_zero_policy_and_ends_upright_on_pendulum():
+    def policy(o):
+        return envs.expert_action("pendulum-v0", o)
+    episodes = [envs.rollout("pendulum-v0", s, policy) for s in range(100)]
+    zero = [envs.rollout("pendulum-v0", s, lambda o: np.zeros(1))[1]
+            for s in range(100)]
+    expert = [total for _, total in episodes]
+    assert np.mean(expert) - np.mean(zero) > 50.0
+    # upright: mean |theta| under 0.3 over the last 50 steps
+    upright = sum(np.mean([abs(math.atan2(n[1], n[0])) for _, _, n, _, _ in raw[-50:]])
+                  < 0.3 for raw, _ in episodes)
+    assert upright >= 95
+
+
 def test_trajectory_replays_bit_identically():
     rng = np.random.default_rng(9)
     for env_id in envs.ENV_IDS:
@@ -217,7 +231,7 @@ def _ref_expert_action(env_id, obs):
     if abs(theta) < 0.3 and abs(theta_dot) < 2.0:
         u = -16.0 * theta - 4.0 * theta_dot
     else:
-        energy = 0.5 * theta_dot * theta_dot - 15.0 * cos_t
+        energy = 0.5 * theta_dot * theta_dot + 15.0 * cos_t
         u = 6.0 * theta_dot * (15.0 - energy)
     return np.array([min(max(u, -2.0), 2.0)])
 

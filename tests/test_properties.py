@@ -82,7 +82,8 @@ def _bits(values):
 
 
 @st.composite
-def datasets(draw):
+def dataset_records(draw):
+    """(spec, whole trajectories of Transitions in t order, threshold)."""
     obs_dim = draw(st.integers(1, 3))
     act_dim = draw(st.integers(1, 2))
     horizon = draw(st.integers(1, 3))
@@ -98,7 +99,19 @@ def datasets(draw):
                 reward=draw(rewards), traj_id=traj_id, t=t))
     returns = [sum(tr.reward for tr in transitions if tr.traj_id == k)
                for k in range(transitions[-1].traj_id + 1)]
-    return data.ExpertDataset(spec, transitions, min(returns) - 1.0)
+    return spec, transitions, min(returns) - 1.0
+
+
+def datasets():
+    return dataset_records().map(lambda r: data.ExpertDataset(*r))
+
+
+def _field_bits(tr):
+    """Every field of a record, floats as their bytes, the rest as Python
+    values of the types a Transition holds."""
+    assert (type(tr.done), type(tr.traj_id), type(tr.t)) == (bool, int, int)
+    return (_bits(tr.obs), _bits(tr.act), _bits(tr.next_obs), tr.done,
+            _bits(tr.reward), tr.traj_id, tr.t)
 
 
 @settings(max_examples=60, derandomize=True, deadline=None)
@@ -128,12 +141,13 @@ def test_dataset_save_load_round_trip_is_bit_exact(dataset):
 
 
 # a valid dataset's records in any order, under other distinct traj_ids,
-# build the same dataset, in memory and read back from a file
+# build the same dataset, in memory and read back from a file, and each of
+# its records reads back every field it was given, bit for bit
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(st.data())
 def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw):
-    dataset = data_draw.draw(datasets())
-    records = dataset.transitions
+    spec, records, threshold = data_draw.draw(dataset_records())
+    dataset = data.ExpertDataset(spec, records, threshold)
     perm = data_draw.draw(st.permutations(range(len(records))))
     # past int64 too; sorted, so the trajectories keep their order and
     # return_mean adds its returns in the same order
@@ -156,6 +170,7 @@ def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw)
         got = ds.training_arrays()
         for name in ("obs", "act", "next_obs", "done"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert list(map(_field_bits, ds.transitions)) == list(map(_field_bits, shuffled))
 
 
 class _EveryRow:
