@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -140,6 +141,10 @@ def build_parser():
     p.add_argument("--n", type=int, default=100, help="trajectories to keep")
     p.add_argument("--threshold", type=float, required=True,
                    help="keep only episodes with return strictly above this")
+    # argparse reads a separate negative number in exponent form, such as
+    # -1e6, as an option; no option here looks like a number, so every
+    # negative number is read as a value
+    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset file to write")
     p.set_defaults(fn=cmd_gen_expert)

@@ -24,8 +24,10 @@ store rewards at all, and training code receives TransitionArrays views,
 which have no reward field, so no update can read a reward.
 
 An expert dataset stores each field once, as a column; its records are
-row views over those columns, and ``load_dataset`` writes each checked
-line straight into them, so no per-record arrays are built.
+row views over those columns. DatasetColumns is the one builder of those
+columns: ``load_dataset`` writes each checked line straight into them and
+``trainer.generate_expert`` each kept episode, both growing them as rows
+arrive, so no per-record arrays are built.
 """
 
 from __future__ import annotations
@@ -155,8 +157,15 @@ class ReplayBuffer:
 
 
 @dataclass(slots=True)
-class _Columns:
-    """An expert dataset's fields, one column each; row i is record i."""
+class DatasetColumns:
+    """An expert dataset's fields, one column each; row i is record i.
+
+    The rows in use are the first len(t). ``empty`` gives arrays of
+    _FIRST_ROWS zero rows, ``grow_to`` doubles them until the rows wanted
+    fit, and ``ExpertDataset.of_columns`` cuts them to the rows in use.
+    Growing and cutting reallocate the arrays, so no view of them may
+    exist until the dataset is built.
+    """
 
     obs: np.ndarray        # (n, obs_dim) float64
     act: np.ndarray        # (n, act_dim) float64
@@ -166,23 +175,49 @@ class _Columns:
     traj_id: list          # Python ints, so ids past int64 still work
     t: list
 
+    @classmethod
+    def empty(cls, spec):
+        """No rows yet, and room for _FIRST_ROWS of spec's records."""
+        n = _FIRST_ROWS
+        return cls(np.zeros((n, spec.obs_dim)), np.zeros((n, spec.act_dim)),
+                   np.zeros((n, spec.obs_dim)), np.zeros(n, dtype=bool), np.zeros(n),
+                   [], [])
+
+    def grow_to(self, n):
+        """Double the arrays' rows until n rows fit, any new rows zero."""
+        rows = len(self.reward)
+        if n > rows:
+            while rows < n:
+                rows *= 2
+            self._resize(rows)
+
+    def extend(self, obs, act, next_obs, done, reward, traj_id, t):
+        """Append rows; each argument holds one value per row."""
+        n = len(self.t)
+        m = n + len(t)
+        self.grow_to(m)
+        self.obs[n:m] = obs
+        self.act[n:m] = act
+        self.next_obs[n:m] = next_obs
+        self.done[n:m] = done
+        self.reward[n:m] = reward
+        self.traj_id.extend(traj_id)
+        self.t.extend(t)
+
+    def _resize(self, n):
+        """Give the arrays n rows in place, any new rows zero."""
+        for column in (self.obs, self.act, self.next_obs, self.done, self.reward):
+            column.resize((n,) + column.shape[1:], refcheck=False)
+
 
 def _stacked(records):
     """The records' fields, stacked into columns."""
     def column(name, dtype):
         return np.array([getattr(tr, name) for tr in records], dtype=dtype)
-    return _Columns(column("obs", np.float64), column("act", np.float64),
-                    column("next_obs", np.float64), column("done", bool),
-                    column("reward", np.float64),
-                    [tr.traj_id for tr in records], [tr.t for tr in records])
-
-
-def _resize(columns, n):
-    """Give columns' arrays n rows in place, any new rows zero. They are
-    reallocated, so no view of them may exist yet."""
-    for column in (columns.obs, columns.act, columns.next_obs, columns.done,
-                   columns.reward):
-        column.resize((n,) + column.shape[1:], refcheck=False)
+    return DatasetColumns(column("obs", np.float64), column("act", np.float64),
+                          column("next_obs", np.float64), column("done", bool),
+                          column("reward", np.float64),
+                          [tr.traj_id for tr in records], [tr.t for tr in records])
 
 
 class _Record:
@@ -229,8 +264,10 @@ class ExpertDataset:
         self._build(spec, _stacked(list(transitions)), filter_threshold)
 
     @classmethod
-    def _of_columns(cls, spec, columns, filter_threshold):
-        """The dataset whose records are the rows of columns, checked."""
+    def of_columns(cls, spec, columns, filter_threshold):
+        """The dataset whose records are the rows in use of columns (a
+        DatasetColumns), checked; the arrays are cut to those rows."""
+        columns._resize(len(columns.t))
         dataset = cls.__new__(cls)
         dataset._build(spec, columns, filter_threshold)
         return dataset
@@ -241,35 +278,44 @@ class ExpertDataset:
         n, horizon = len(columns.t), spec.horizon
         if not n:
             raise DatasetFormatError("dataset contains no trajectories")
+        # the check holds at most five n-length integer arrays at once and
+        # frees each after its last use
         ids = np.array(columns.traj_id)
         ts = np.array(columns.t)
         order = np.lexsort((ts, ids))      # stable: the records in (traj_id, t) order
-        found = ids[order], ts[order], columns.done[order]
-        del ids, ts
+        ids = ids[order]
         # position j must hold step j % horizon of the trajectory whose
-        # first record is at position j - j % horizon
-        j = np.arange(n)
-        step = j % horizon
-        want = found[0][j - step], step, step == horizon - 1
-        misplaced = np.flatnonzero(np.any([f != w for f, w in zip(found, want)], axis=0))
+        # first record is at position j - j % horizon, done only at its last
+        step = np.arange(n)
+        step %= horizon
+        misplaced = ts[order] != step
+        del ts
+        misplaced |= columns.done[order] != (step == horizon - 1)
+        misplaced |= ids != np.repeat(ids[::horizon], horizon)[:n]
+        misplaced = np.flatnonzero(misplaced)
         if len(misplaced):
             k = misplaced[0]
+            i = order[k]
+            s = step[k]
+            want = ids[k - s], s, s == horizon - 1
+            found = ids[k], columns.t[i], columns.done[i]
             raise DatasetFormatError(
-                f"expected (traj_id, t, done) = ({', '.join(str(c[k]) for c in want)}), "
-                f"found ({', '.join(str(c[k]) for c in found)})", index=int(order[k]),
+                f"expected (traj_id, t, done) = ({', '.join(map(str, want))}), "
+                f"found ({', '.join(map(str, found))})", index=int(i),
             )
+        del step, misplaced
         # what the position check misses: a last trajectory cut short and, at
         # horizon 1, a traj_id that starts two trajectories
-        firsts = found[0][::horizon]
+        firsts = ids[::horizon]
         miscounted = np.flatnonzero(np.r_[False, firsts[1:] == firsts[:-1]]
-                                    | (j[::horizon] + horizon > n))
+                                    | (np.arange(0, n, horizon) + horizon > n))
         if len(miscounted):
             k = miscounted[0] * horizon
             raise DatasetFormatError(
-                f"trajectory {found[0][k]} does not hold t = 0..{horizon - 1} once "
+                f"trajectory {ids[k]} does not hold t = 0..{horizon - 1} once "
                 f"each", index=int(order[k]),
             )
-        del j, step, found, want
+        del ids, firsts
         # each trajectory's return, summed as Python floats in t order
         rewards = columns.reward[order]
         returns = [sum(rewards[k:k + horizon].tolist()) for k in range(0, n, horizon)]
@@ -377,12 +423,9 @@ def load_dataset(path):
             spec = env_spec(meta["env_id"])
         except UnknownEnvError as e:
             raise DatasetFormatError(e.args[0], line=1) from None
-        # each checked line goes straight into columns that start at
-        # _FIRST_ROWS rows and double as lines arrive
-        cols = _Columns(np.zeros((_FIRST_ROWS, spec.obs_dim)),
-                        np.zeros((_FIRST_ROWS, spec.act_dim)),
-                        np.zeros((_FIRST_ROWS, spec.obs_dim)),
-                        np.zeros(_FIRST_ROWS, dtype=bool), np.zeros(_FIRST_ROWS), [], [])
+        # each checked line goes straight into columns that grow as lines
+        # arrive
+        cols = DatasetColumns.empty(spec)
         n = 0
         for line_no, raw in enumerate(f, start=2):
             if not raw.strip():
@@ -400,7 +443,7 @@ def load_dataset(path):
                     line=line_no,
                 )
             if n == len(cols.reward):
-                _resize(cols, 2 * n)
+                cols.grow_to(n + 1)
             cols.obs[n] = obs
             cols.act[n] = act
             cols.next_obs[n] = next_obs
@@ -409,9 +452,8 @@ def load_dataset(path):
             cols.traj_id.append(rec["traj_id"])
             cols.t.append(rec["t"])
             n += 1
-    _resize(cols, n)
     try:
-        dataset = ExpertDataset._of_columns(spec, cols, meta["filter_threshold"])
+        dataset = ExpertDataset.of_columns(spec, cols, meta["filter_threshold"])
     except DatasetFormatError as e:
         if e.index is None:
             raise

@@ -109,10 +109,11 @@ class NetworkParams:
 
     layers: list[Layer]
     flat: np.ndarray = field(init=False, repr=False, compare=False)
-    # the input width, the output width and the units of all layers
-    # (output included), read on every forward call
+    # the input width, the output width, each layer's output width and the
+    # units of all layers (output included), read on every forward call
     n_in: int = field(init=False, repr=False, compare=False)
     n_out: int = field(init=False, repr=False, compare=False)
+    widths: tuple = field(init=False, repr=False, compare=False)
     n_units: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -130,7 +131,8 @@ class NetworkParams:
             l.weights, l.bias = w, b
         self.n_in = self.layers[0].n_in
         self.n_out = self.layers[-1].n_out
-        self.n_units = sum(l.n_out for l in self.layers)
+        self.widths = tuple(l.n_out for l in self.layers)
+        self.n_units = sum(self.widths)
 
     @property
     def n_params(self):
@@ -209,8 +211,8 @@ def forward_batch(params, x, want_cache=False):
     a = x
     cache = [] if want_cache else None
     pos = 0
-    for l in params.layers:
-        z = block[pos:pos + n * l.n_out].reshape(n, l.n_out)
+    for l, width in zip(params.layers, params.widths):
+        z = block[pos:pos + n * width].reshape(n, width)
         pos += z.size
         np.matmul(a, l.weights.T, out=z)
         z += l.bias

@@ -29,7 +29,7 @@ import numpy as np
 from . import actor as actor_mod
 from . import critic as critic_mod
 from . import net
-from .data import ExpertDataset, ReplayBuffer, Transition, save_dataset
+from .data import DatasetColumns, ExpertDataset, ReplayBuffer, Transition, save_dataset
 from .envs import env_spec, expert_action, reset, rollout, step
 from .errors import DimensionMismatch, ExpertGenerationError, NonFiniteError
 from .objectives import JsonConfig, save_config
@@ -121,6 +121,15 @@ def _transitions(raw, traj_id):
     """Transitions of one rollout's (obs, act, next_obs, reward, done) tuples."""
     # positional: Transition(obs, act, next_obs, done, reward, traj_id, t)
     return [Transition(o, a, n, d, r, traj_id, i) for i, (o, a, n, r, d) in enumerate(raw)]
+
+
+def _write_episode(columns, raw, traj_id):
+    """Append one rollout's (obs, act, next_obs, reward, done) tuples to
+    DatasetColumns columns, as trajectory traj_id. The per-field tuples
+    made here go when it returns, before the next episode is rolled."""
+    obs, act, next_obs, reward, done = zip(*raw)
+    columns.extend(obs, act, next_obs, done, reward, [traj_id] * len(raw),
+                   range(len(raw)))
 
 
 def collect_episode(env_id, policy, buffer, rng, traj_id=0):
@@ -332,6 +341,9 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
 
     Episode seeds increment from seed. Fails with pass-rate diagnostics
     if fewer than n_target of 100 * n_target attempts clear threshold.
+    Each kept episode is written straight into the dataset's growing
+    columns (trajectory ids 0..n_target-1 in the order kept), so at most
+    one episode's rollout tuples are alive at a time.
     """
     if n_target < 1:
         raise ValueError(f"need at least one trajectory, got {n_target}")
@@ -339,25 +351,26 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
         raise ValueError(f"threshold must be a number, got {threshold}")
     spec = env_spec(env_id)
     max_attempts = 100 * n_target
-    kept = []
-    attempts = 0
+    columns = DatasetColumns.empty(spec)
+    kept = attempts = 0
     ep_seed = seed
-    while len(kept) < n_target and attempts < max_attempts:
+    while kept < n_target and attempts < max_attempts:
         raw, total = rollout(env_id, ep_seed,
                              lambda obs: expert_action(env_id, obs))
         attempts += 1
         ep_seed += 1
         if total > threshold:
-            kept.append(_transitions(raw, len(kept)))
-    if len(kept) < n_target:
-        rate = len(kept) / attempts if attempts else 0.0
+            _write_episode(columns, raw, kept)
+            kept += 1
+        del raw   # before the next episode is rolled
+    if kept < n_target:
+        rate = kept / attempts if attempts else 0.0
         raise ExpertGenerationError(
-            f"only {len(kept)}/{n_target} trajectories exceeded return "
+            f"only {kept}/{n_target} trajectories exceeded return "
             f"{threshold} after {attempts} attempts (pass rate {rate:.2%}); "
             f"threshold too high for {env_id}?"
         )
-    transitions = [tr for traj in kept for tr in traj]
-    dataset = ExpertDataset(spec, transitions, threshold)
+    dataset = ExpertDataset.of_columns(spec, columns, threshold)
     if out_path is not None:
         save_dataset(dataset, out_path)
     return dataset

@@ -66,6 +66,28 @@ def test_gen_expert_no_trajectory_or_nan_threshold_exit_1_writes_nothing(
     assert list(tmp_path.iterdir()) == []
 
 
+def test_gen_expert_reads_a_separate_negative_exponent_as_the_threshold(tmp_path):
+    # argparse alone reads a separate "-1e6" as an option and exits 2
+    written = []
+    for i, threshold in enumerate((["--threshold", "-1e6"], ["--threshold=-1e6"],
+                                   ["--threshold", "-1000000"])):
+        path = tmp_path / f"e{i}.jsonl"
+        assert cli.main(["gen-expert", "--env", "linereacher-v0", "--n", "2", *threshold,
+                         "--seed", "0", "--out", str(path)]) == 0
+        written.append(path.read_bytes())
+    assert load_dataset(tmp_path / "e0.jsonl").filter_threshold == -1e6
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e", "--1e6"])
+def test_gen_expert_threshold_followed_by_a_flag_is_usage_error(tmp_path, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["gen-expert", "--env", "linereacher-v0", "--threshold", value,
+                  "--out", str(tmp_path / "e.jsonl")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit) as exc:
         cli.main(["inspect", "--data", "x.jsonl", "--verbose"])

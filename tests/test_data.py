@@ -157,6 +157,17 @@ def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
     assert peak <= 1.25 * retained
 
 
+def test_generation_peak_stays_near_what_the_dataset_retains():
+    # each kept episode goes straight into the dataset's columns: no
+    # Transition per record, and at most one episode's rollout tuples alive.
+    # A first generation keeps what one-time set-up retains out of the trace.
+    generate_expert("linereacher-v0", 1, -1e9, seed=49)
+    retained, peak, ds = traced_peak_and_result(
+        lambda: generate_expert("linereacher-v0", 10, -1e9, seed=50))
+    assert len(ds) == 2000
+    assert peak <= 1.25 * retained
+
+
 def test_a_loaded_record_retains_at_most_200_bytes(tmp_path):
     # each field is stored once, in the dataset's columns; a record holds
     # only the columns and its row index

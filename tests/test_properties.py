@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mimicrl import critic, data, envs, net
+from mimicrl import critic, data, envs, net, trainer
 from mimicrl.envs import EnvSpec
 
 LN2 = math.log(2.0)
@@ -171,6 +171,59 @@ def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw)
         for name in ("obs", "act", "next_obs", "done"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
         assert list(map(_field_bits, ds.transitions)) == list(map(_field_bits, shuffled))
+
+
+def _expert_records(env_id, n, threshold, seed):
+    """The reference for generate_expert: Transitions of the first n
+    episodes from seed whose return exceeds threshold, with the attempts
+    made."""
+    records = []
+    kept = attempts = 0
+    while kept < n:
+        raw, total = envs.rollout(env_id, seed + attempts,
+                                  lambda obs: envs.expert_action(env_id, obs))
+        attempts += 1
+        if total > threshold:
+            records += [data.Transition(o, a, nx, d, r, kept, t)
+                        for t, (o, a, nx, r, d) in enumerate(raw)]
+            kept += 1
+    return records, attempts
+
+
+# generation writes episodes straight into growing columns; the dataset
+# must be the one the records of the kept rollouts build, to the bit. Past
+# 5 kept episodes (1,000 rows) the columns grow beyond their first 1,024 rows.
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(env_id=st.sampled_from(["linereacher-v0", "pendulum-v0"]),
+       n=st.integers(1, 7), seed=st.integers(0, 10_000), rank=st.integers(0, 3))
+@example(env_id="linereacher-v0", n=7, seed=0, rank=2)
+@example(env_id="pendulum-v0", n=7, seed=1, rank=3)
+def test_generated_dataset_is_the_one_its_kept_records_build(env_id, n, seed, rank):
+    # a threshold at or above the second lowest of the first n + 1 returns
+    # rejects two of those episodes, so one before the n-th is kept
+    returns = sorted(envs.rollout(env_id, seed + k,
+                                  lambda obs: envs.expert_action(env_id, obs))[1]
+                     for k in range(n + 1))
+    threshold = returns[1 + min(rank, n // 2)]
+    records, attempts = _expert_records(env_id, n, threshold, seed)
+    assert attempts > n
+    want = data.ExpertDataset(envs.env_spec(env_id), records, threshold)
+    got = trainer.generate_expert(env_id, n, threshold, seed)
+    for name in ("obs", "act", "next_obs", "done", "reward"):
+        a, b = getattr(got._columns, name), getattr(want._columns, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    for name in ("traj_id", "t"):
+        a, b = getattr(got._columns, name), getattr(want._columns, name)
+        assert type(a) is list and {type(v) for v in a} == {int}, name
+        assert a == b, name
+    assert _bits(got.return_stats) == _bits(want.return_stats)
+    assert got.n_trajectories == want.n_trajectories == n
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, f"{k}.jsonl") for k in range(2)]
+        data.save_dataset(got, paths[0])
+        data.save_dataset(want, paths[1])
+        with open(paths[0], "rb") as f, open(paths[1], "rb") as g:
+            assert f.read() == g.read()
 
 
 class _EveryRow:
