@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 from dataclasses import asdict
+from types import SimpleNamespace
 
 from . import net, objectives, trainer
 from .actor import load_actor
@@ -129,6 +129,17 @@ def cmd_inspect(args):
     return 0
 
 
+def _is_negative_number(arg):
+    """Whether arg starts with "-" and float() reads it: -1e6, -inf, -nan."""
+    if not arg.startswith("-"):
+        return False
+    try:
+        float(arg)
+    except ValueError:
+        return False
+    return True
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mimicrl",
@@ -141,10 +152,9 @@ def build_parser():
     p.add_argument("--n", type=int, default=100, help="trajectories to keep")
     p.add_argument("--threshold", type=float, required=True,
                    help="keep only episodes with return strictly above this")
-    # argparse reads a separate negative number in exponent form, such as
-    # -1e6, as an option; no option here looks like a number, so every
-    # negative number is read as a value
-    p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+    # argparse reads a separate -1e6 or -inf as an option; no option here
+    # looks like a number, so every negative number is read as a value
+    p._negative_number_matcher = SimpleNamespace(match=_is_negative_number)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="dataset file to write")
     p.set_defaults(fn=cmd_gen_expert)

@@ -11,10 +11,16 @@ and every following line is one transition, in any order::
 
     {"traj_id", "t", "obs", "act", "next_obs", "done", "reward"}
 
-json round-trips float64 exactly (repr encoding), so save followed by
-load reproduces every value bit for bit. ``load_dataset`` takes the env
-from the registry, checks every value's JSON type, and requires line 1
-to equal ``metadata`` of the dataset it read (return stats to 1e-9).
+Every line is the ``json.dumps`` of its dict. Floats are written as their
+repr, which round-trips float64 exactly, so save followed by load
+reproduces every value bit for bit. ``save_dataset`` fills one line
+template per record rather than building the dict, and ``load_dataset``
+decodes a line that is one object and its newline with one
+``raw_decode``, sending any other line to ``json.loads``; so the time of
+both goes to float formatting and JSON scanning. ``load_dataset`` takes
+the env from the registry, checks every value's JSON type, and requires
+line 1 to equal ``metadata`` of the dataset it read (return stats to
+1e-9).
 
 Of stored data, only expert datasets keep rewards. The return filter runs
 once, in ``trainer.generate_expert``; ExpertDataset checks, in (traj_id, t)
@@ -25,9 +31,9 @@ which have no reward field, so no update can read a reward.
 
 An expert dataset stores each field once, as a column; its records are
 row views over those columns. DatasetColumns is the one builder of those
-columns: ``load_dataset`` writes each checked line straight into them and
-``trainer.generate_expert`` each kept episode, both growing them as rows
-arrive, so no per-record arrays are built.
+columns: ``load_dataset`` writes checked lines into them a few dozen at a
+time and ``trainer.generate_expert`` each kept episode, both growing them
+as rows arrive, so no per-record arrays are built.
 """
 
 from __future__ import annotations
@@ -372,31 +378,68 @@ def metadata(dataset):
     }
 
 
+# records formatted per write: a slice's lists and text stay small beside
+# the columns
+_SAVE_ROWS = 128
+
+
+def _record_templates(obs_dim, act_dim):
+    """A record line's %-templates for done false and done true: json.dumps
+    of the record's dict, with %r for each number."""
+    def numbers(n):
+        return "[" + ", ".join(["%r"] * n) + "]"
+    head = (f'{{"traj_id": %r, "t": %r, "obs": {numbers(obs_dim)}, '
+            f'"act": {numbers(act_dim)}, "next_obs": {numbers(obs_dim)}, "done": ')
+    tail = ', "reward": %r}\n'
+    return head + "false" + tail, head + "true" + tail
+
+
 def save_dataset(dataset, path):
-    """Write dataset to path as JSON lines, atomically."""
+    """Write dataset to path as JSON lines, atomically.
+
+    Line 1 is ``json.dumps(metadata(dataset))``. Each record line fills a
+    fixed template (_record_templates) from the columns, _SAVE_ROWS records
+    at a time, and is byte for byte the ``json.dumps`` of the record's dict:
+    that writes ints and finite floats as their repr, and where repr writes
+    nan, inf and -inf it writes NaN, Infinity and -Infinity.
+    """
     cols = dataset._columns
+    templates = _record_templates(cols.obs.shape[1], cols.act.shape[1])
     with net.atomic_open(path) as f:
         f.write(json.dumps(metadata(dataset)) + "\n")
-        for traj_id, t, obs, act, next_obs, done, reward in zip(
-                cols.traj_id, cols.t, cols.obs, cols.act, cols.next_obs, cols.done,
-                cols.reward):
-            rec = {
-                "traj_id": traj_id,
-                "t": t,
-                "obs": obs.tolist(),
-                "act": act.tolist(),
-                "next_obs": next_obs.tolist(),
-                "done": bool(done),
-                "reward": float(reward),
-            }
-            f.write(json.dumps(rec) + "\n")
+        for a in range(0, len(cols.t), _SAVE_ROWS):
+            b = a + _SAVE_ROWS
+            numbers = np.column_stack((cols.obs[a:b], cols.act[a:b], cols.next_obs[a:b],
+                                       cols.reward[a:b]))
+            finite = np.isfinite(numbers).all()
+            text = "".join([templates[done] % (traj_id, t, *row) for traj_id, t, done, row
+                            in zip(cols.traj_id[a:b], cols.t[a:b], cols.done[a:b].tolist(),
+                                   numbers.tolist())])
+            if not finite:
+                # no key or other token of a record line holds "nan" or "inf"
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            f.write(text)
+
+
+_DECODER = json.JSONDecoder()   # json.loads' own settings
+
+
+def _decoded(raw):
+    """json.loads(raw). A line that is one object and its newline, as
+    save_dataset writes it, needs none of json.loads' whitespace scans, and
+    raw_decode's error on it is json.loads' own."""
+    if raw[:1] == "{":
+        doc, end = _DECODER.raw_decode(raw)
+        if raw[end:] == "\n":
+            return doc
+    return json.loads(raw)
 
 
 def _parse_line(raw, line_no, kinds):
     """The JSON object on line line_no, once it has every key of kinds and
     each value has its kind's JSON type."""
     try:
-        doc = json.loads(raw)
+        doc = _decoded(raw)
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"malformed JSON ({e.msg})", line=line_no) from None
     if not isinstance(doc, dict):
@@ -411,9 +454,27 @@ def _parse_line(raw, line_no, kinds):
     return doc
 
 
+# checked records held before they go into the columns together
+_LOAD_ROWS = 64
+
+
+def _extend(cols, recs):
+    """Append the checked records recs, if any, to DatasetColumns cols,
+    then forget them."""
+    if recs:
+        cols.extend(**{key: [rec[key] for rec in recs] for key in _TRANSITION_KINDS})
+        recs.clear()
+
+
 def load_dataset(path):
     """Read a dataset file; its env must be registered, and line 1 must
-    equal ``metadata`` of what the records hold."""
+    equal ``metadata`` of what the records hold.
+
+    The file is read a line at a time. Each line is decoded (_decoded) and
+    checked for its keys, JSON kinds and lengths, and the checked records
+    go into the columns _LOAD_ROWS at a time, so loading holds a few lines
+    beside the columns. A fault names its line.
+    """
     with open(path, "r", encoding="utf-8") as f:
         first = f.readline()
         if not first:
@@ -423,35 +484,35 @@ def load_dataset(path):
             spec = env_spec(meta["env_id"])
         except UnknownEnvError as e:
             raise DatasetFormatError(e.args[0], line=1) from None
-        # each checked line goes straight into columns that grow as lines
-        # arrive
+        # checked lines go into columns that grow as lines arrive, at most
+        # _LOAD_ROWS at a time
         cols = DatasetColumns.empty(spec)
-        n = 0
-        for line_no, raw in enumerate(f, start=2):
-            if not raw.strip():
-                raise DatasetFormatError("blank line inside dataset", line=line_no)
-            rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
-            obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
-            if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
-                raise DatasetFormatError(
-                    f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
-                    line=line_no,
-                )
-            if len(act) != spec.act_dim:
-                raise DatasetFormatError(
-                    f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
-                    line=line_no,
-                )
-            if n == len(cols.reward):
-                cols.grow_to(n + 1)
-            cols.obs[n] = obs
-            cols.act[n] = act
-            cols.next_obs[n] = next_obs
-            cols.done[n] = rec["done"]
-            cols.reward[n] = rec["reward"]
-            cols.traj_id.append(rec["traj_id"])
-            cols.t.append(rec["t"])
-            n += 1
+        recs = []
+        try:
+            for line_no, raw in enumerate(f, start=2):
+                if raw.isspace():
+                    raise DatasetFormatError("blank line inside dataset", line=line_no)
+                rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
+                obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
+                if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
+                    raise DatasetFormatError(
+                        f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
+                        line=line_no,
+                    )
+                if len(act) != spec.act_dim:
+                    raise DatasetFormatError(
+                        f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
+                        line=line_no,
+                    )
+                recs.append(rec)
+                if len(recs) == _LOAD_ROWS:
+                    _extend(cols, recs)
+        except DatasetFormatError:
+            # an earlier line's number too large for a float still fails
+            # first, as when each line went in alone
+            _extend(cols, recs)
+            raise
+        _extend(cols, recs)
     try:
         dataset = ExpertDataset.of_columns(spec, cols, meta["filter_threshold"])
     except DatasetFormatError as e:

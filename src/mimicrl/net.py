@@ -229,17 +229,25 @@ def forward(params, x):
     """Per-row forward pass: real[n_in] -> real[n_out], or a stack of rows
     real[n, n_in] -> real[n, n_out].
 
-    Each layer computes ``weights @ a[..., None]``: one matrix-vector
-    product per row, the same BLAS call whether the row comes alone or in
-    a stack. So each row's output is independent of its neighbours, bit
-    for bit. ``forward_batch`` is the gemm pass for training batches; its
-    rows can differ from these in the last bits.
+    Each layer computes ``weights @ a[..., None]`` on a stack and
+    ``np.dot(weights, a)`` on one row: one matrix-vector product per row,
+    the same BLAS call whether the row comes alone or in a stack. So each
+    row's output is independent of its neighbours, bit for bit.
+    ``forward_batch`` is the gemm pass for training batches; its rows can
+    differ from these in the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != params.n_in:
         raise DimensionMismatch(
             f"input shape {x.shape} does not match network input dim {params.n_in}"
         )
+    if x.ndim == 1:
+        a = x
+        for l in params.layers:
+            a = np.dot(l.weights, a)
+            a += l.bias
+            _activate(l.activation, a)
+        return a
     a = x[..., None]
     for l in params.layers:
         a = l.weights @ a + l.bias[:, None]

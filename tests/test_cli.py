@@ -79,7 +79,30 @@ def test_gen_expert_reads_a_separate_negative_exponent_as_the_threshold(tmp_path
     assert written[0] == written[1] == written[2]
 
 
-@pytest.mark.parametrize("value", ["-x", "-1e", "--1e6"])
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-INF"])
+def test_gen_expert_reads_a_separate_negative_infinity_as_the_threshold(tmp_path, value):
+    written = []
+    for i, threshold in enumerate((["--threshold", value], [f"--threshold={value}"])):
+        path = tmp_path / f"e{i}.jsonl"
+        assert cli.main(["gen-expert", "--env", "linereacher-v0", "--n", "2", *threshold,
+                         "--seed", "0", "--out", str(path)]) == 0
+        written.append(path.read_bytes())
+    assert load_dataset(tmp_path / "e0.jsonl").filter_threshold == float("-inf")
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("threshold", [["--threshold", "-nan"], ["--threshold=-nan"],
+                                       ["--threshold", "-NaN"]])
+def test_gen_expert_negative_nan_threshold_exits_1_in_either_form(tmp_path, capsys,
+                                                                  threshold):
+    rc = cli.main(["gen-expert", "--env", "linereacher-v0", "--n", "2", *threshold,
+                   "--seed", "0", "--out", str(tmp_path / "e.jsonl")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: threshold must be a number, got nan\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["-x", "-1e", "--1e6", "-infx", "-nan1"])
 def test_gen_expert_threshold_followed_by_a_flag_is_usage_error(tmp_path, value):
     with pytest.raises(SystemExit) as exc:
         cli.main(["gen-expert", "--env", "linereacher-v0", "--threshold", value,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimicrl import data
+from mimicrl import data, net
 from mimicrl.envs import EnvSpec, env_spec
 from mimicrl.errors import DatasetFormatError, DimensionMismatch
 from mimicrl.trainer import generate_expert
@@ -157,6 +157,26 @@ def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
     assert peak <= 1.25 * retained
 
 
+def test_save_peak_stays_within_half_what_the_dataset_retains(tmp_path):
+    # the writer formats a few hundred records at a time, never whole
+    # columns as Python lists or the file's whole text
+    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
+    retained, _, ds = traced_peak_and_result(
+        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    _, peak, _ = traced_peak_and_result(
+        lambda: data.save_dataset(ds, tmp_path / "again.jsonl"))
+    assert len(ds) == 2000
+    assert peak <= 0.5 * retained
+
+
+def test_a_file_of_only_its_metadata_line_holds_no_trajectories(tmp_path):
+    expert_fixture(tmp_path)
+    path = tmp_path / "exp.jsonl"
+    path.write_text(path.read_text().splitlines(keepends=True)[0])
+    with pytest.raises(DatasetFormatError, match="dataset contains no trajectories"):
+        data.load_dataset(path)
+
+
 def test_generation_peak_stays_near_what_the_dataset_retains():
     # each kept episode goes straight into the dataset's columns: no
     # Transition per record, and at most one episode's rollout tuples alive.
@@ -242,17 +262,22 @@ def test_save_failure_keeps_previous_bytes(tmp_path, monkeypatch):
     ds = expert_fixture(tmp_path)
     path = tmp_path / "exp.jsonl"
     before = path.read_bytes()
-    real_dumps = json.dumps
-    calls = []
 
-    def dumps_then_fail(doc):
-        # the metadata line and one transition are written, then the disk fills
-        calls.append(doc)
-        if len(calls) == 3:
-            raise OSError("disk full")
-        return real_dumps(doc)
+    def open_then_fill(*args, **kwargs):
+        # the metadata line and the first records are written, then the disk fills
+        f = open(*args, **kwargs)
+        write, calls = f.write, []
 
-    monkeypatch.setattr(json, "dumps", dumps_then_fail)
+        def write_then_fail(text):
+            calls.append(text)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write(text)
+
+        f.write = write_then_fail
+        return f
+
+    monkeypatch.setattr(net, "open", open_then_fill, raising=False)
     with pytest.raises(OSError, match="disk full"):
         data.save_dataset(ds, path)
     assert path.read_bytes() == before

@@ -3,6 +3,7 @@
 Examples are derandomized, so every run draws the same cases.
 """
 
+import json
 import math
 import os
 import tempfile
@@ -14,6 +15,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from mimicrl import critic, data, envs, net, trainer
 from mimicrl.envs import EnvSpec
+from mimicrl.errors import DatasetFormatError
 
 LN2 = math.log(2.0)
 # JSD is a difference of entropies that are each at most ln 2, so its
@@ -25,6 +27,9 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 # bounded so that returns stay finite; bounded draws never give a signed
 # zero or a subnormal, so those are added by hand
 rewards = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 5e-324, -5e-324])
+# any float64, with the values JSON or repr write apart drawn often
+any_float = st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e300,
+                                           -1e300, math.inf, -math.inf, math.nan])
 
 
 @settings(max_examples=500, derandomize=True)
@@ -82,12 +87,13 @@ def _bits(values):
 
 
 @st.composite
-def dataset_records(draw):
-    """(spec, whole trajectories of Transitions in t order, threshold)."""
+def dataset_records(draw, numbers=finite):
+    """(spec, whole trajectories of Transitions in t order, threshold); the
+    bounds, obs, act and next_obs hold numbers."""
     obs_dim = draw(st.integers(1, 3))
     act_dim = draw(st.integers(1, 2))
     horizon = draw(st.integers(1, 3))
-    vec = lambda n: st.lists(finite, min_size=n, max_size=n).map(np.array)
+    vec = lambda n: st.lists(numbers, min_size=n, max_size=n).map(np.array)
     spec = EnvSpec("property-v0", obs_dim, act_dim, draw(vec(act_dim)),
                    draw(vec(act_dim)), horizon, 0.0)
     transitions = []
@@ -188,6 +194,95 @@ def _expert_records(env_id, n, threshold, seed):
                         for t, (o, a, nx, r, d) in enumerate(raw)]
             kept += 1
     return records, attempts
+
+
+def _record_dict(tr):
+    """A record as the dict whose json.dumps is its line."""
+    return {"traj_id": tr.traj_id, "t": tr.t, "obs": tr.obs.tolist(),
+            "act": tr.act.tolist(), "next_obs": tr.next_obs.tolist(), "done": tr.done,
+            "reward": tr.reward}
+
+
+# save_dataset fills a line template per record; every line must be the
+# json.dumps of the record's dict, for any float64 (NaN, Infinity and
+# -Infinity included), any traj_id and any slice size
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(st.data())
+def test_each_saved_line_is_the_json_dumps_of_its_record(data_draw):
+    spec, records, threshold = data_draw.draw(dataset_records(numbers=any_float))
+    n_trajectories = records[-1].traj_id + 1
+    ids = data_draw.draw(st.lists(st.integers(-2**70, 2**70), unique=True,
+                                  min_size=n_trajectories, max_size=n_trajectories))
+    for tr in records:
+        tr.traj_id = ids[tr.traj_id]
+    dataset = data.ExpertDataset(spec, records, threshold)
+    for tr in dataset.transitions:
+        tr.reward = data_draw.draw(any_float)
+    rows = data_draw.draw(st.integers(1, 4))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(data, "_SAVE_ROWS", rows):
+        path = os.path.join(tmp, "data.jsonl")
+        data.save_dataset(dataset, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            lines = f.readlines()
+    assert lines == [json.dumps(data.metadata(dataset)) + "\n"] + \
+        [json.dumps(_record_dict(tr)) + "\n" for tr in dataset.transitions]
+
+
+# characters a line may start or end with: JSON whitespace, and others that
+# json.loads rejects but str.strip or str.splitlines would take as space
+line_spaces = st.lists(st.sampled_from("\f \t\v\r\x85\u2028\u00a0"), min_size=1,
+                       max_size=3).map("".join)
+line_edits = st.one_of(
+    line_spaces.map(lambda sp: lambda line: sp + line),
+    line_spaces.map(lambda sp: lambda line: line[:-1] + sp + "\n"),
+    st.just(lambda line: line[:-1] + "\r\n"),
+    st.just(lambda line: "\ufeff" + line),
+    st.sampled_from([" {}", "x", "]", ' {"t": 0}', "{}"]).map(
+        lambda extra: lambda line: line[:-1] + extra + "\n"),
+    st.just(lambda line: "[" + line[:-1] + "]\n"),
+    st.just(lambda line: "\n" + line),
+    st.just(lambda line: line[:-1]),      # the newline dropped
+)
+
+
+def _load_outcome(path, spec):
+    """load_dataset(path)'s dataset, as its fields, or the DatasetFormatError
+    it raises, as its message and line."""
+    try:
+        with mock.patch.dict(envs._SPECS, {"property-v0": spec}):
+            ds = data.load_dataset(path)
+    except DatasetFormatError as e:
+        return str(e), e.line
+    cols = ds._columns
+    return ([(c.dtype, c.shape, c.tobytes()) for c in (cols.obs, cols.act, cols.next_obs,
+                                                        cols.done, cols.reward)],
+            cols.traj_id, cols.t, _bits(ds.return_stats), _bits(ds.filter_threshold),
+            ds.n_trajectories)
+
+
+# load_dataset decodes a line that is one object and its newline by itself;
+# any line edited around its object must load, or fail with the same message
+# and line, as through json.loads
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.data())
+def test_edited_lines_load_as_through_json_loads(data_draw):
+    dataset = data_draw.draw(datasets())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "data.jsonl")
+        data.save_dataset(dataset, path)
+        with open(path, encoding="utf-8", newline="") as f:
+            lines = f.readlines()
+        for _ in range(data_draw.draw(st.integers(1, 3))):
+            k = data_draw.draw(st.integers(0, len(lines) - 1))
+            lines[k] = data_draw.draw(line_edits)(lines[k])
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("".join(lines))
+        rows = data_draw.draw(st.integers(1, 4))
+        with mock.patch.object(data, "_LOAD_ROWS", rows):
+            got = _load_outcome(path, dataset.spec)
+            with mock.patch.object(data, "_decoded", json.loads):
+                want = _load_outcome(path, dataset.spec)
+    assert got == want
 
 
 # generation writes episodes straight into growing columns; the dataset
