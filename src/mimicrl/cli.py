@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 from . import net, objectives, trainer
 from .actor import load_actor
-from .data import load_dataset, metadata
+from .data import load_dataset, metadata, save_dataset
 from .envs import env_spec
 from .errors import MimicError
 
@@ -37,9 +37,8 @@ def _load_json(path, what):
 
 
 def cmd_gen_expert(args):
-    dataset = trainer.generate_expert(
-        args.env, args.n, args.threshold, args.seed, out_path=args.out,
-    )
+    dataset = trainer.generate_expert(args.env, args.n, args.threshold, args.seed)
+    save_dataset(dataset, args.out)
     objectives.save_config(
         {"command": "gen-expert", "env_id": args.env, "n": args.n,
          "threshold": args.threshold, "seed": args.seed, "out": args.out},

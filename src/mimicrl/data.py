@@ -32,8 +32,10 @@ which have no reward field, so no update can read a reward.
 An expert dataset stores each field once, as a column; its records are
 row views over those columns. DatasetColumns is the one builder of those
 columns: ``load_dataset`` writes checked lines into them a few dozen at a
-time and ``trainer.generate_expert`` each kept episode, both growing them
-as rows arrive, so no per-record arrays are built.
+time and ``trainer.generate_expert`` each kept episode, and
+``ExpertDataset`` cuts them to the rows in use, so no per-record arrays
+are built. The replay buffer's columns and these grow the same way, in
+place by ``_resize``: from _FIRST_ROWS rows, doubling as rows arrive.
 """
 
 from __future__ import annotations
@@ -88,18 +90,17 @@ class TransitionArrays:
                                 self.done[idx])
 
 
-# rows the replay buffer's columns hold before their first doubling
+# rows a column store (replay buffer or DatasetColumns) holds before its
+# first doubling
 _FIRST_ROWS = 1024
 
 
-def _grown(rows, n):
-    """rows' columns copied into zeroed columns of n rows."""
-    def column(old):
-        new = np.zeros((n,) + old.shape[1:], dtype=old.dtype)
-        new[:len(old)] = old
-        return new
-    return TransitionArrays(column(rows.obs), column(rows.act),
-                            column(rows.next_obs), column(rows.done))
+def _resize(columns, n):
+    """Give each array of columns n rows in place, keeping its leading
+    rows; any new rows are zero. The data may move, so no view of an
+    array may be alive."""
+    for column in columns:
+        column.resize((n,) + column.shape[1:], refcheck=False)
 
 
 class ReplayBuffer:
@@ -144,7 +145,7 @@ class ReplayBuffer:
         i = self._write
         rows = self._rows
         if i == len(rows):
-            rows = self._rows = _grown(rows, min(2 * i, self.capacity))
+            _resize(vars(rows).values(), min(2 * i, self.capacity))
         rows.obs[i] = obs
         rows.act[i] = act
         rows.next_obs[i] = next_obs
@@ -167,10 +168,10 @@ class DatasetColumns:
     """An expert dataset's fields, one column each; row i is record i.
 
     The rows in use are the first len(t). ``empty`` gives arrays of
-    _FIRST_ROWS zero rows, ``grow_to`` doubles them until the rows wanted
-    fit, and ``ExpertDataset.of_columns`` cuts them to the rows in use.
-    Growing and cutting reallocate the arrays, so no view of them may
-    exist until the dataset is built.
+    _FIRST_ROWS zero rows, ``extend`` doubles them until its rows fit, and
+    ``ExpertDataset`` cuts them to the rows in use. Growing and cutting
+    resize the arrays in place (_resize), so no view of them may exist
+    until the dataset is built.
     """
 
     obs: np.ndarray        # (n, obs_dim) float64
@@ -189,19 +190,16 @@ class DatasetColumns:
                    np.zeros((n, spec.obs_dim)), np.zeros(n, dtype=bool), np.zeros(n),
                    [], [])
 
-    def grow_to(self, n):
-        """Double the arrays' rows until n rows fit, any new rows zero."""
-        rows = len(self.reward)
-        if n > rows:
-            while rows < n:
-                rows *= 2
-            self._resize(rows)
-
-    def extend(self, obs, act, next_obs, done, reward, traj_id, t):
-        """Append rows; each argument holds one value per row."""
+    def extend(self, obs, act, next_obs, reward, done, traj_id, t):
+        """Append rows; each argument holds one value per row, in the
+        order of a rollout tuple's fields, then traj_id and t."""
         n = len(self.t)
         m = n + len(t)
-        self.grow_to(m)
+        rows = len(self.reward)
+        if m > rows:
+            while rows < m:
+                rows *= 2
+            _resize((self.obs, self.act, self.next_obs, self.done, self.reward), rows)
         self.obs[n:m] = obs
         self.act[n:m] = act
         self.next_obs[n:m] = next_obs
@@ -209,21 +207,6 @@ class DatasetColumns:
         self.reward[n:m] = reward
         self.traj_id.extend(traj_id)
         self.t.extend(t)
-
-    def _resize(self, n):
-        """Give the arrays n rows in place, any new rows zero."""
-        for column in (self.obs, self.act, self.next_obs, self.done, self.reward):
-            column.resize((n,) + column.shape[1:], refcheck=False)
-
-
-def _stacked(records):
-    """The records' fields, stacked into columns."""
-    def column(name, dtype):
-        return np.array([getattr(tr, name) for tr in records], dtype=dtype)
-    return DatasetColumns(column("obs", np.float64), column("act", np.float64),
-                          column("next_obs", np.float64), column("done", bool),
-                          column("reward", np.float64),
-                          [tr.traj_id for tr in records], [tr.t for tr in records])
 
 
 class _Record:
@@ -261,27 +244,18 @@ class ExpertDataset:
 
     Each field is stored once, as a column: ``training_arrays()`` returns
     the obs, act, next_obs and done columns (read-only), and
-    ``transitions[i]`` is a record whose fields read row i. The given
-    records are stacked into columns, then checked in (traj_id, t) order;
-    a fault's DatasetFormatError.index is the offending record's position.
+    ``transitions[i]`` is a record whose fields read row i. The records
+    are the rows in use of columns (a DatasetColumns), whose arrays are
+    cut to those rows and then checked in (traj_id, t) order; a fault's
+    DatasetFormatError.index is the offending record's position.
     """
 
-    def __init__(self, spec, transitions, filter_threshold):
-        self._build(spec, _stacked(list(transitions)), filter_threshold)
-
-    @classmethod
-    def of_columns(cls, spec, columns, filter_threshold):
-        """The dataset whose records are the rows in use of columns (a
-        DatasetColumns), checked; the arrays are cut to those rows."""
-        columns._resize(len(columns.t))
-        dataset = cls.__new__(cls)
-        dataset._build(spec, columns, filter_threshold)
-        return dataset
-
-    def _build(self, spec, columns, filter_threshold):
+    def __init__(self, spec, columns, filter_threshold):
+        n, horizon = len(columns.t), spec.horizon
+        _resize((columns.obs, columns.act, columns.next_obs, columns.done,
+                 columns.reward), n)
         self.spec = spec
         self.filter_threshold = float(filter_threshold)
-        n, horizon = len(columns.t), spec.horizon
         if not n:
             raise DatasetFormatError("dataset contains no trajectories")
         # the check holds at most five n-length integer arrays at once and
@@ -488,33 +462,27 @@ def load_dataset(path):
         # _LOAD_ROWS at a time
         cols = DatasetColumns.empty(spec)
         recs = []
-        try:
-            for line_no, raw in enumerate(f, start=2):
-                if raw.isspace():
-                    raise DatasetFormatError("blank line inside dataset", line=line_no)
-                rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
-                obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
-                if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
-                    raise DatasetFormatError(
-                        f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
-                        line=line_no,
-                    )
-                if len(act) != spec.act_dim:
-                    raise DatasetFormatError(
-                        f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
-                        line=line_no,
-                    )
-                recs.append(rec)
-                if len(recs) == _LOAD_ROWS:
-                    _extend(cols, recs)
-        except DatasetFormatError:
-            # an earlier line's number too large for a float still fails
-            # first, as when each line went in alone
-            _extend(cols, recs)
-            raise
+        for line_no, raw in enumerate(f, start=2):
+            if raw.isspace():
+                raise DatasetFormatError("blank line inside dataset", line=line_no)
+            rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
+            obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
+            if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
+                raise DatasetFormatError(
+                    f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
+                    line=line_no,
+                )
+            if len(act) != spec.act_dim:
+                raise DatasetFormatError(
+                    f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
+                    line=line_no,
+                )
+            recs.append(rec)
+            if len(recs) == _LOAD_ROWS:
+                _extend(cols, recs)
         _extend(cols, recs)
     try:
-        dataset = ExpertDataset.of_columns(spec, cols, meta["filter_threshold"])
+        dataset = ExpertDataset(spec, cols, meta["filter_threshold"])
     except DatasetFormatError as e:
         if e.index is None:
             raise

@@ -442,13 +442,30 @@ def save_checkpoint(params, path, extra=None):
 # the one rule for a value of each JSON kind, in configs, dataset lines
 # and checkpoints: the Python types json.load gives that kind, matched by
 # exact type so that true and false pass only as a bool: an integer for an
-# int, any number for a float; the kind "floats" is a list of numbers
-_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
-_NUMBER_TYPES = frozenset(_JSON_TYPES["float"])
+# int, any number a float64 holds for a float; the kind "floats" is a list
+# of such numbers
+_JSON_TYPES = {"int": (int,), "bool": (bool,), "str": (str,)}
+_NUMBER_TYPES = frozenset((int, float))
+_FLOAT_TYPE = frozenset((float,))
+# json.load reads any integer as an int; float() rounds one of this size
+# or more past the largest float64 and overflows, and so does numpy
+_INT_PAST_FLOAT = 2**1024 - 2**970
 _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false",
                "str": "a string", "floats": "a list of numbers"}
 _LAYER_KINDS = {"in": "int", "out": "int", "activation": "str", "weights": "floats",
                 "bias": "floats"}
+
+
+def _are_numbers(key, values):
+    """Whether each of values is an int or a float; raise ValueError,
+    naming key, at an int too large for a float64."""
+    if not _NUMBER_TYPES.issuperset(map(type, values)):
+        return False
+    for v in values:
+        if type(v) is int and not -_INT_PAST_FLOAT < v < _INT_PAST_FLOAT:
+            raise ValueError(f"{key}: the integer {reprlib.repr(v)} is too large "
+                             f"for a float")
+    return True
 
 
 def check_json_types(doc, kinds):
@@ -457,7 +474,11 @@ def check_json_types(doc, kinds):
     for key, kind in kinds.items():
         value = doc[key]
         if kind == "floats":
-            ok = type(value) is list and _NUMBER_TYPES.issuperset(map(type, value))
+            # a list of floats alone, as every writer here gives, takes one pass
+            ok = type(value) is list and (_FLOAT_TYPE.issuperset(map(type, value))
+                                           or _are_numbers(key, value))
+        elif kind == "float":
+            ok = type(value) is float or _are_numbers(key, (value,))
         else:
             ok = type(value) in _JSON_TYPES[kind]
         if not ok:

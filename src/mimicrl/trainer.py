@@ -29,7 +29,7 @@ import numpy as np
 from . import actor as actor_mod
 from . import critic as critic_mod
 from . import net
-from .data import DatasetColumns, ExpertDataset, ReplayBuffer, Transition, save_dataset
+from .data import DatasetColumns, ExpertDataset, ReplayBuffer, Transition
 from .envs import env_spec, expert_action, reset, rollout, step
 from .errors import DimensionMismatch, ExpertGenerationError, NonFiniteError
 from .objectives import JsonConfig, save_config
@@ -117,21 +117,6 @@ def build_learner(config, rng):
     )
 
 
-def _transitions(raw, traj_id):
-    """Transitions of one rollout's (obs, act, next_obs, reward, done) tuples."""
-    # positional: Transition(obs, act, next_obs, done, reward, traj_id, t)
-    return [Transition(o, a, n, d, r, traj_id, i) for i, (o, a, n, r, d) in enumerate(raw)]
-
-
-def _write_episode(columns, raw, traj_id):
-    """Append one rollout's (obs, act, next_obs, reward, done) tuples to
-    DatasetColumns columns, as trajectory traj_id. The per-field tuples
-    made here go when it returns, before the next episode is rolled."""
-    obs, act, next_obs, reward, done = zip(*raw)
-    columns.extend(obs, act, next_obs, done, reward, [traj_id] * len(raw),
-                   range(len(raw)))
-
-
 def collect_episode(env_id, policy, buffer, rng, traj_id=0):
     """Roll one full episode with sampled noise; push every transition.
 
@@ -142,8 +127,8 @@ def collect_episode(env_id, policy, buffer, rng, traj_id=0):
     ep_seed = int(rng.integers(0, 2**63))
     noise = iter(rng.standard_normal((env_spec(env_id).horizon, policy.noise_dim)))
     raw, _ = rollout(env_id, ep_seed, lambda obs: actor_mod.act(policy, obs, next(noise)))
-    for tr in _transitions(raw, traj_id):
-        buffer.push(tr)
+    for t, (obs, act, next_obs, reward, done) in enumerate(raw):
+        buffer.push(Transition(obs, act, next_obs, done, reward, traj_id, t))
     return len(raw)
 
 
@@ -336,8 +321,9 @@ def train(config, dataset, out_dir=None, verbose=False):
     return state
 
 
-def generate_expert(env_id, n_target, threshold, seed, out_path=None):
-    """Roll scripted-expert episodes until n_target pass the return filter.
+def generate_expert(env_id, n_target, threshold, seed):
+    """Roll scripted-expert episodes until n_target pass the return filter;
+    returns the ExpertDataset, which ``data.save_dataset`` writes.
 
     Episode seeds increment from seed. Fails with pass-rate diagnostics
     if fewer than n_target of 100 * n_target attempts clear threshold.
@@ -360,7 +346,8 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
         attempts += 1
         ep_seed += 1
         if total > threshold:
-            _write_episode(columns, raw, kept)
+            # the per-field tuples go with this call, before the next rollout
+            columns.extend(*zip(*raw), [kept] * len(raw), range(len(raw)))
             kept += 1
         del raw   # before the next episode is rolled
     if kept < n_target:
@@ -370,7 +357,4 @@ def generate_expert(env_id, n_target, threshold, seed, out_path=None):
             f"{threshold} after {attempts} attempts (pass rate {rate:.2%}); "
             f"threshold too high for {env_id}?"
         )
-    dataset = ExpertDataset.of_columns(spec, columns, threshold)
-    if out_path is not None:
-        save_dataset(dataset, out_path)
-    return dataset
+    return ExpertDataset(spec, columns, threshold)

@@ -163,6 +163,10 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     (4, "obs", [True, 0.5]),
     (4, "t", 1),
     (3, "done", True),
+    # json.load reads any integer as an int; one too large for a float64
+    # must not pass as a number and then overflow on its way into the columns
+    pytest.param(1, "filter_threshold", 10**400, id="1-filter_threshold-too-large"),
+    pytest.param(2, "obs", [-10**400, 0.5], id="2-obs-too-large"),
 ])
 def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
                                                    line_no, key, value):
@@ -303,6 +307,7 @@ def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
     ("gamma", "0.9"),
     ("tau", None),
     ("early_stop_return", "abc"),
+    pytest.param("early_stop_return", 10**400, id="early_stop_return-too-large"),
     # a key of a removed estimator: refused at load, nothing written
     ("include_gamma_in_target", "no"),
 ])
@@ -442,6 +447,10 @@ def without(doc, key):
      "action_center must be a list of numbers, got ['0']"),
     (lambda doc: dict(doc, layers=[dict(l, weights="0") for l in doc["layers"]]),
      "weights must be a list of numbers, got '0'"),
+    (lambda doc: dict(doc, layers=[dict(l, weights=[10**400] + l["weights"][1:])
+                                   for l in doc["layers"]]),
+     "weights: the integer 100000000000000000...0000000000000000000 is too large "
+     "for a float"),
     (lambda doc: dict(doc, noise_dim=3),
      "noise_dim 3 must be in 0..2, so that the network's 3 inputs hold an observation"),
     (lambda doc: dict(doc, noise_dim=-1),
@@ -452,6 +461,7 @@ def without(doc, key):
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
         "layer-not-an-object", "activation-not-a-string", "layers-empty",
         "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string",
+        "weight-too-large-for-a-float",
         "noise-dim-fills-the-input", "noise-dim-negative", "env-id-not-a-string",
         "noise-dim-narrows-the-observation"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):

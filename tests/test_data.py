@@ -23,6 +23,18 @@ def make_tr(i, obs_dim=2, act_dim=1, horizon=4, reward=0.0, traj_id=0):
     )
 
 
+def expert_dataset(spec, records, threshold):
+    """The ExpertDataset of records, in their order: each field's values
+    stacked into a column by np.array, as DatasetColumns."""
+    def column(name, dtype):
+        return np.array([getattr(tr, name) for tr in records], dtype=dtype)
+    columns = data.DatasetColumns(
+        column("obs", np.float64), column("act", np.float64),
+        column("next_obs", np.float64), column("done", bool), column("reward", np.float64),
+        [tr.traj_id for tr in records], [tr.t for tr in records])
+    return data.ExpertDataset(spec, columns, threshold)
+
+
 def test_push_grows_to_one():
     buf = data.ReplayBuffer(10, 2, 1)
     buf.push(make_tr(0))
@@ -121,8 +133,16 @@ def test_sample_arrays_has_no_reward_field():
 
 
 def expert_fixture(tmp_path, n=3, threshold=-100.0):
-    return generate_expert("linereacher-v0", n, threshold, seed=50,
-                           out_path=tmp_path / "exp.jsonl")
+    ds = generate_expert("linereacher-v0", n, threshold, seed=50)
+    data.save_dataset(ds, tmp_path / "exp.jsonl")
+    return ds
+
+
+def big_file(tmp_path):
+    """A 10-trajectory, 2,000-record linereacher file."""
+    path = tmp_path / "big.jsonl"
+    data.save_dataset(generate_expert("linereacher-v0", 10, -1e9, seed=50), path)
+    return path
 
 
 def test_save_load_round_trip_bit_identical(tmp_path):
@@ -150,9 +170,8 @@ def test_save_load_second_round_trip_identical_bytes(tmp_path):
 def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
     # the loader holds one line at a time beside the records it has parsed,
     # not the file's whole text and its list of lines
-    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
-    retained, peak, ds = traced_peak_and_result(
-        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    path = big_file(tmp_path)
+    retained, peak, ds = traced_peak_and_result(lambda: data.load_dataset(path))
     assert len(ds) == 2000
     assert peak <= 1.25 * retained
 
@@ -160,9 +179,8 @@ def test_load_peak_stays_near_what_the_dataset_retains(tmp_path):
 def test_save_peak_stays_within_half_what_the_dataset_retains(tmp_path):
     # the writer formats a few hundred records at a time, never whole
     # columns as Python lists or the file's whole text
-    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
-    retained, _, ds = traced_peak_and_result(
-        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    path = big_file(tmp_path)
+    retained, _, ds = traced_peak_and_result(lambda: data.load_dataset(path))
     _, peak, _ = traced_peak_and_result(
         lambda: data.save_dataset(ds, tmp_path / "again.jsonl"))
     assert len(ds) == 2000
@@ -191,14 +209,13 @@ def test_generation_peak_stays_near_what_the_dataset_retains():
 def test_a_loaded_record_retains_at_most_200_bytes(tmp_path):
     # each field is stored once, in the dataset's columns; a record holds
     # only the columns and its row index
-    generate_expert("linereacher-v0", 10, -1e9, seed=50, out_path=tmp_path / "big.jsonl")
-    retained, _, ds = traced_peak_and_result(
-        lambda: data.load_dataset(tmp_path / "big.jsonl"))
+    path = big_file(tmp_path)
+    retained, _, ds = traced_peak_and_result(lambda: data.load_dataset(path))
     assert len(ds) == 2000
     assert retained / len(ds) <= 200
     # the columns grew past their first 1,024 rows and lost none
     data.save_dataset(ds, tmp_path / "again.jsonl")
-    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "big.jsonl").read_bytes()
+    assert (tmp_path / "again.jsonl").read_bytes() == path.read_bytes()
 
 
 def test_records_are_read_only_row_views_of_the_training_columns(tmp_path):
@@ -334,7 +351,7 @@ def test_dataset_rejects_incomplete_trajectory():
     spec = env_spec("linereacher-v0")
     partial = [make_tr(i, horizon=200, traj_id=0) for i in range(100)]
     with pytest.raises(DatasetFormatError):
-        data.ExpertDataset(spec, partial, -1000.0)
+        expert_dataset(spec, partial, -1000.0)
 
 
 def test_incomplete_trajectory_error_names_the_t_values(tmp_path):
@@ -400,7 +417,7 @@ def test_a_traj_id_that_starts_two_trajectories_is_refused(horizon):
     records = [make_tr(i, horizon=horizon, traj_id=k)
                for k in (7, 7, 8) for i in range(horizon)]
     with pytest.raises(DatasetFormatError) as exc:
-        data.ExpertDataset(spec, records, -1.0)
+        expert_dataset(spec, records, -1.0)
     assert exc.value.index == horizon      # the second trajectory's first record
 
 
@@ -408,7 +425,7 @@ def test_dataset_rejects_return_below_threshold():
     spec = env_spec("linereacher-v0")
     traj = [make_tr(i, horizon=200, reward=-1.0, traj_id=0) for i in range(200)]
     with pytest.raises(DatasetFormatError):
-        data.ExpertDataset(spec, traj, -100.0)  # total return -200 < -100
+        expert_dataset(spec, traj, -100.0)  # total return -200 < -100
 
 
 def test_dataset_training_arrays_strip_reward(tmp_path):

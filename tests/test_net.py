@@ -240,6 +240,22 @@ def test_checkpoint_round_trip(tmp_path):
     assert np.array_equal(p.get_flat(), q.get_flat())
 
 
+def test_a_number_kind_takes_exactly_the_integers_a_float_holds():
+    # json.load reads any integer as an int; float() and numpy round one of
+    # 2**1024 - 2**970 or more past the largest float64, and overflow
+    edge = 2**1024 - 2**970
+    for v in (edge - 1, 1 - edge):
+        assert np.isfinite(np.asarray([0.5, v], dtype=np.float64)).all()
+        net.check_json_types({"x": v, "xs": [0.5, v]}, {"x": "float", "xs": "floats"})
+    for v in (edge, -edge, 10**400):
+        with pytest.raises(OverflowError):
+            np.asarray([0.5, v], dtype=np.float64)
+        for doc, kind in (({"x": v}, "float"), ({"x": [0.5, v]}, "floats")):
+            with pytest.raises(ValueError, match=r"^x: the integer -?\d+\.\.\.\d+ is too "
+                                                 r"large for a float$"):
+                net.check_json_types(doc, {"x": kind})
+
+
 def test_checkpoint_write_failure_keeps_previous_bytes(tmp_path, monkeypatch):
     rng = np.random.default_rng(8)
     path = tmp_path / "net.ckpt"

@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from mimicrl import critic, data, envs, net, trainer
 from mimicrl.envs import EnvSpec
 from mimicrl.errors import DatasetFormatError
+from test_data import expert_dataset
 
 LN2 = math.log(2.0)
 # JSD is a difference of entropies that are each at most ln 2, so its
@@ -109,7 +110,7 @@ def dataset_records(draw, numbers=finite):
 
 
 def datasets():
-    return dataset_records().map(lambda r: data.ExpertDataset(*r))
+    return dataset_records().map(lambda r: expert_dataset(*r))
 
 
 def _field_bits(tr):
@@ -153,7 +154,7 @@ def test_dataset_save_load_round_trip_is_bit_exact(dataset):
 @given(st.data())
 def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw):
     spec, records, threshold = data_draw.draw(dataset_records())
-    dataset = data.ExpertDataset(spec, records, threshold)
+    dataset = expert_dataset(spec, records, threshold)
     perm = data_draw.draw(st.permutations(range(len(records))))
     # past int64 too; sorted, so the trajectories keep their order and
     # return_mean adds its returns in the same order
@@ -163,7 +164,7 @@ def test_dataset_in_any_record_order_under_other_traj_ids_is_the_same(data_draw)
     shuffled = [data.Transition(tr.obs, tr.act, tr.next_obs, tr.done, tr.reward,
                                 ids[tr.traj_id], tr.t)
                 for tr in (records[k] for k in perm)]
-    built = data.ExpertDataset(dataset.spec, shuffled, dataset.filter_threshold)
+    built = expert_dataset(dataset.spec, shuffled, dataset.filter_threshold)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "data.jsonl")
         data.save_dataset(built, path)
@@ -215,7 +216,7 @@ def test_each_saved_line_is_the_json_dumps_of_its_record(data_draw):
                                   min_size=n_trajectories, max_size=n_trajectories))
     for tr in records:
         tr.traj_id = ids[tr.traj_id]
-    dataset = data.ExpertDataset(spec, records, threshold)
+    dataset = expert_dataset(spec, records, threshold)
     for tr in dataset.transitions:
         tr.reward = data_draw.draw(any_float)
     rows = data_draw.draw(st.integers(1, 4))
@@ -302,7 +303,7 @@ def test_generated_dataset_is_the_one_its_kept_records_build(env_id, n, seed, ra
     threshold = returns[1 + min(rank, n // 2)]
     records, attempts = _expert_records(env_id, n, threshold, seed)
     assert attempts > n
-    want = data.ExpertDataset(envs.env_spec(env_id), records, threshold)
+    want = expert_dataset(envs.env_spec(env_id), records, threshold)
     got = trainer.generate_expert(env_id, n, threshold, seed)
     for name in ("obs", "act", "next_obs", "done", "reward"):
         a, b = getattr(got._columns, name), getattr(want._columns, name)
@@ -356,3 +357,31 @@ def test_replay_buffer_keeps_the_latest_capacity_pushes(capacity, n_pushes):
         assert _bits(getattr(drawn, name)) == _bits(column[idx]), name
     assert set(got.obs[:, 0]) == set(map(float, range(max(0, n_pushes - capacity),
                                                       n_pushes)))
+
+
+@pytest.fixture(scope="module")
+def reward_blind_baseline():
+    """(config, expert dataset, the actor and critic parameters that
+    training on it gives) for the reward-blindness property."""
+    config = trainer.TrainConfig(env_id="linereacher-v0", seed=3, max_episodes=1,
+                                 batch_expert=16, batch_beta=16, eval_episodes=1)
+    dataset = trainer.generate_expert("linereacher-v0", 2, -1e9, seed=900)
+    return config, dataset, _trained_params(trainer.train(config, dataset))
+
+
+def _trained_params(state):
+    return [_bits(net_.params.get_flat())
+            for net_ in (state.actor, state.critic1, state.critic2)]
+
+
+# no update reads an expert reward: any finite rewards, set per record
+# through tr.reward, train bit-identical actor and critics
+@settings(max_examples=10, derandomize=True, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=5))
+@example([0.0])
+@example([1e300, -5e-324, -1e300, 0.5])
+def test_training_ignores_any_expert_rewards(reward_blind_baseline, rewards):
+    config, dataset, want = reward_blind_baseline
+    for i, tr in enumerate(dataset.transitions):
+        tr.reward = rewards[i % len(rewards)]
+    assert _trained_params(trainer.train(config, dataset)) == want

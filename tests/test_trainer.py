@@ -9,7 +9,7 @@ import pytest
 from mimicrl import actor as actor_mod
 from mimicrl import critic as critic_mod
 from mimicrl import net, objectives, trainer
-from mimicrl.data import ReplayBuffer, Transition, TransitionArrays, load_dataset
+from mimicrl.data import ReplayBuffer, Transition, TransitionArrays, load_dataset, save_dataset
 from mimicrl.envs import env_spec
 from mimicrl.errors import DimensionMismatch, ExpertGenerationError, NonFiniteError
 from test_critic import reference_loss_and_grads
@@ -635,8 +635,8 @@ def test_generate_expert_threshold_is_strictly_greater():
 
 def test_generate_expert_round_trips_through_file(tmp_path):
     path = tmp_path / "exp.jsonl"
-    ds = trainer.generate_expert("linereacher-v0", 3, -100.0, seed=70,
-                                 out_path=path)
+    ds = trainer.generate_expert("linereacher-v0", 3, -100.0, seed=70)
+    save_dataset(ds, path)
     back = load_dataset(path)
     assert back.return_stats == ds.return_stats
     assert len(back.transitions) == len(ds.transitions)
@@ -646,7 +646,7 @@ def test_generate_expert_file_bytes_are_golden(tmp_path):
     # linereacher is IEEE float arithmetic over PCG64 draws, so these bytes
     # hold on any host; seeds 70 and 71 miss the threshold, 72-74 are kept
     path = tmp_path / "exp.jsonl"
-    trainer.generate_expert("linereacher-v0", 3, -20.0, seed=70, out_path=path)
+    save_dataset(trainer.generate_expert("linereacher-v0", 3, -20.0, seed=70), path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         "00d3ec2fa4393bb69d512b2af3df1e506fe72e04eb5c1c3b3fa05bb27206389f"
 
