@@ -129,7 +129,7 @@ def load_actor(path, checkpoint=None):
     ``net.load_checkpoint(path)``, for a caller that has read path."""
     params, doc = checkpoint or net.load_checkpoint(path)
     doc.setdefault("env_id", "")   # a checkpoint may leave its env unnamed
-    with net.checkpoint_errors(path):
+    with net.file_errors("checkpoint", path):
         net.check_json_types(doc, _CHECKPOINT_KINDS)
         if not 0 <= doc["noise_dim"] < params.n_in:
             raise DimensionMismatch(

@@ -6,7 +6,9 @@ identity. Every artifact-producing run echoes its fully resolved config
 to a config.json next to its outputs, and re-running any command from
 that echo reproduces the outputs byte for byte.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success, 1 runtime error, 2 usage error. A fault in a
+config or checkpoint file exits 1 before anything is written, naming the
+file (``net.file_errors``); a fault in a dataset file names its line.
 """
 
 from __future__ import annotations
@@ -23,17 +25,6 @@ from .actor import load_actor
 from .data import load_dataset, metadata, save_dataset
 from .envs import env_spec
 from .errors import MimicError
-
-
-def _load_json(path, what):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            doc = json.load(f)
-    except json.JSONDecodeError as e:
-        raise MimicError(f"{what} {path}: malformed JSON at line {e.lineno}") from None
-    if not isinstance(doc, dict):
-        raise MimicError(f"{what} {path}: expected a JSON object")
-    return doc
 
 
 def cmd_gen_expert(args):
@@ -53,7 +44,8 @@ def cmd_gen_expert(args):
 
 
 def cmd_train(args):
-    config = trainer.TrainConfig.from_dict(_load_json(args.config, "config"))
+    with open(args.config, encoding="utf-8") as f, net.file_errors("config", args.config):
+        config = trainer.TrainConfig.from_dict(json.load(f))
     dataset = load_dataset(args.expert)
     result = trainer.train(config, dataset, out_dir=args.out, verbose=True)
     last = result.metrics.eval_rows[-1]
@@ -63,7 +55,8 @@ def cmd_train(args):
 
 
 def cmd_train_bc(args):
-    config = objectives.BCConfig.from_dict(_load_json(args.config, "config"))
+    with open(args.config, encoding="utf-8") as f, net.file_errors("config", args.config):
+        config = objectives.BCConfig.from_dict(json.load(f))
     dataset = load_dataset(args.expert)
     policy, history = objectives.train_bc(config, dataset)
     os.makedirs(args.out, exist_ok=True)
@@ -79,23 +72,22 @@ def cmd_train_bc(args):
 def _load_policy(path, spec):
     """The actor or BC policy saved at path, read once; it must fit spec's env."""
     checkpoint = net.load_checkpoint(path)
-    if "log_std" in checkpoint[1]:
-        policy = objectives.load_bc_policy(path, spec, checkpoint)
-        params, obs_dim = policy.mean_net, policy.mean_net.n_in
-    elif "noise_dim" in checkpoint[1]:
-        policy = load_actor(path, checkpoint)
-        if policy.env_id not in ("", spec.env_id):
-            raise MimicError(f"checkpoint {path}: an actor for {policy.env_id}, "
-                             f"but --env is {spec.env_id}")
-        params, obs_dim = policy.params, policy.obs_dim
-    else:
-        raise MimicError(f"{path} is neither an actor nor a BC checkpoint")
-    if (obs_dim, params.n_out) != (spec.obs_dim, spec.act_dim):
-        raise MimicError(
-            f"checkpoint {path}: the policy maps obs_dim {obs_dim} to act_dim "
-            f"{params.n_out}, but {spec.env_id} has obs_dim {spec.obs_dim} and "
-            f"act_dim {spec.act_dim}"
-        )
+    with net.file_errors("checkpoint", path):
+        if "log_std" in checkpoint[1]:
+            policy = objectives.load_bc_policy(path, spec, checkpoint)
+            params, obs_dim = policy.mean_net, policy.mean_net.n_in
+        elif "noise_dim" in checkpoint[1]:
+            policy = load_actor(path, checkpoint)
+            if policy.env_id not in ("", spec.env_id):
+                raise ValueError(f"an actor for {policy.env_id}, but --env is {spec.env_id}")
+            params, obs_dim = policy.params, policy.obs_dim
+        else:
+            raise ValueError("holds neither an actor's noise_dim nor a BC policy's log_std")
+        if (obs_dim, params.n_out) != (spec.obs_dim, spec.act_dim):
+            raise ValueError(
+                f"the policy maps obs_dim {obs_dim} to act_dim {params.n_out}, but "
+                f"{spec.env_id} has obs_dim {spec.obs_dim} and act_dim {spec.act_dim}"
+            )
     return policy
 
 

@@ -416,6 +416,8 @@ def _parse_line(raw, line_no, kinds):
         doc = _decoded(raw)
     except json.JSONDecodeError as e:
         raise DatasetFormatError(f"malformed JSON ({e.msg})", line=line_no) from None
+    except ValueError as e:   # an integer literal past Python's digit limit
+        raise DatasetFormatError(f"bad value: {e}", line=line_no) from None
     if not isinstance(doc, dict):
         raise DatasetFormatError("expected a JSON object", line=line_no)
     if not doc.keys() >= kinds.keys():

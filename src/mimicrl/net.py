@@ -6,6 +6,8 @@ to the parameters (``backward_batch``) or to the inputs
 (``input_grad_batch``), a bias-corrected Adam optimizer, a
 central-difference gradient checker, and a JSON checkpoint format whose
 reader, like the dataset reader, checks each value's JSON type.
+``file_errors`` is the one rule that puts a file's name in front of a
+fault: every fault in a checkpoint or a config file names that file.
 
 Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
@@ -486,23 +488,24 @@ def check_json_types(doc, kinds):
 
 
 @contextlib.contextmanager
-def checkpoint_errors(path):
-    """Re-raise a KeyError or ValueError from the block as a MimicError
-    that names the checkpoint at path."""
+def file_errors(what, path):
+    """Re-raise a KeyError or ValueError from the block, such as a JSON
+    syntax error, an integer past Python's digit limit or a failed value
+    check, as a MimicError "<what> <path>: ..." that names the file."""
     try:
         yield
     except KeyError as e:
-        raise MimicError(f"checkpoint {path}: missing key {e}") from None
+        raise MimicError(f"{what} {path}: missing key {e}") from None
     except ValueError as e:
-        raise MimicError(f"checkpoint {path}: {e}") from None
+        raise MimicError(f"{what} {path}: {e}") from None
 
 
 def load_checkpoint(path):
     """Load a checkpoint JSON object whose layers are well formed; returns
     (params, full document). A missing key or a bad value raises a
     MimicError that names path; the caller checks its own keys inside
-    ``checkpoint_errors(path)``."""
-    with open(path, "r", encoding="utf-8") as f, checkpoint_errors(path):
+    ``file_errors("checkpoint", path)``."""
+    with open(path, "r", encoding="utf-8") as f, file_errors("checkpoint", path):
         doc = json.load(f)
         if type(doc) is not dict:
             raise ValueError("expected a JSON object")

@@ -119,7 +119,8 @@ def save_config(doc, path):
 class JsonConfig:
     """Base for the config dataclasses that the CLI reads from JSON.
 
-    ``from_dict`` rejects unknown keys and requires env_id and seed.
+    ``from_dict`` takes a JSON object only, rejects unknown keys and
+    requires env_id and seed.
     ``__post_init__`` makes each numpy scalar a Python value, so ``asdict``
     is JSON, then checks every value by ``net.check_json_types``; each
     subclass then checks ranges in its own ``__post_init__``, so a bad
@@ -128,6 +129,8 @@ class JsonConfig:
 
     @classmethod
     def from_dict(cls, doc):
+        if not isinstance(doc, dict):
+            raise ValueError("expected a JSON object")
         unknown = sorted(set(doc) - set(cls.__dataclass_fields__))
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
@@ -214,8 +217,13 @@ def load_bc_policy(path, spec, checkpoint=None):
     is the (params, doc) pair of ``net.load_checkpoint(path)``, for a
     caller that has read path."""
     params, doc = checkpoint or net.load_checkpoint(path)
-    with net.checkpoint_errors(path):
+    with net.file_errors("checkpoint", path):
         net.check_json_types(doc, {"log_std": "floats"})
+        if len(doc["log_std"]) != params.n_out:
+            raise DimensionMismatch(
+                f"log_std length {len(doc['log_std'])} does not match the "
+                f"network's output width {params.n_out}"
+            )
     return GaussianBCPolicy(
         mean_net=params,
         log_std=np.asarray(doc["log_std"], dtype=np.float64),

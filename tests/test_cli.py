@@ -13,6 +13,22 @@ from mimicrl.data import load_dataset
 from mimicrl.envs import env_spec
 
 
+# Python refuses to read an integer literal of more than 4,300 digits, and
+# json.dumps refuses to write one: a test writes the string LONG_INT where
+# it wants such a literal, and with_long_int swaps the digits in
+LONG_INT = "<a 4,401-digit integer>"
+
+
+def with_long_int(text):
+    return text.replace(json.dumps(LONG_INT), "1" + "0" * 4400)
+
+
+try:
+    json.loads(with_long_int(json.dumps(LONG_INT)))
+except ValueError as e:
+    DIGIT_LIMIT = str(e)   # the message of Python's digit limit
+
+
 @pytest.fixture(scope="module")
 def expert_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "expert.jsonl"
@@ -167,6 +183,8 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     # must not pass as a number and then overflow on its way into the columns
     pytest.param(1, "filter_threshold", 10**400, id="1-filter_threshold-too-large"),
     pytest.param(2, "obs", [-10**400, 0.5], id="2-obs-too-large"),
+    # and one past Python's digit limit must not fail without its line
+    pytest.param(2, "obs", [LONG_INT, 0.5], id="2-obs-4401-digits"),
 ])
 def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
                                                    line_no, key, value):
@@ -178,7 +196,8 @@ def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys
 def edited_copy(path, tmp_path, line_no, key, value):
     """A copy of the dataset at path with line line_no's key set to value."""
     lines = path.read_text().splitlines()
-    lines[line_no - 1] = json.dumps(dict(json.loads(lines[line_no - 1]), **{key: value}))
+    lines[line_no - 1] = with_long_int(
+        json.dumps(dict(json.loads(lines[line_no - 1]), **{key: value})))
     bad = tmp_path / "bad.jsonl"
     bad.write_text("\n".join(lines) + "\n")
     return bad
@@ -226,12 +245,16 @@ def test_train_bc_on_an_unregistered_env_exit_1(expert_file, tmp_path, capsys):
     assert not out.exists()
 
 
+CONFIGS = {
+    "train": {"env_id": "linereacher-v0", "seed": 5, "max_episodes": 2,
+              "batch_expert": 16, "batch_beta": 16, "eval_every": 2, "eval_episodes": 2},
+    "train-bc": {"env_id": "linereacher-v0", "seed": 2, "steps": 5},
+}
+
+
 def write_config(tmp_path, **kw):
-    doc = {"env_id": "linereacher-v0", "seed": 5, "max_episodes": 2,
-           "batch_expert": 16, "batch_beta": 16,
-           "eval_every": 2, "eval_episodes": 2, **kw}
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(dict(CONFIGS["train"], **kw)))
     return path
 
 
@@ -300,25 +323,50 @@ def test_train_zero_max_episodes_exit_1(expert_file, tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field,value", [
-    ("noise_dim", 1.5),
-    ("noise_dim", True),
-    ("seed", 1.5),
-    ("gamma", "0.9"),
-    ("tau", None),
-    ("early_stop_return", "abc"),
-    pytest.param("early_stop_return", 10**400, id="early_stop_return-too-large"),
+# faults each command's config must refuse: an edit of CONFIGS[command] or
+# the whole file, and what the message holds
+CONFIG_FAULTS = [
+    ("syntax-error", '{"env_id": "linereacher-v0",}', "Expecting property name"),
+    ("not-an-object", '[{"env_id": "linereacher-v0", "seed": 0}]',
+     "expected a JSON object"),
+    ("unknown-key", {"bogus_knob": 3}, "unknown config keys: ['bogus_knob']"),
+    ("wrong-kind", {"seed": "0"}, "seed must be an integer, got '0'"),
+    ("seed-4401-digits", {"seed": LONG_INT}, DIGIT_LIMIT),
+]
+
+
+@pytest.mark.parametrize("command,config,fault", [
+    pytest.param("train", {"noise_dim": 1.5}, "noise_dim", id="noise_dim-1.5"),
+    pytest.param("train", {"noise_dim": True}, "noise_dim", id="noise_dim-True"),
+    pytest.param("train", {"seed": 1.5}, "seed", id="seed-1.5"),
+    pytest.param("train", {"gamma": "0.9"}, "gamma", id="gamma-0.9"),
+    pytest.param("train", {"tau": None}, "tau", id="tau-None"),
+    pytest.param("train", {"early_stop_return": "abc"}, "early_stop_return",
+                 id="early_stop_return-abc"),
+    pytest.param("train", {"early_stop_return": 10**400}, "early_stop_return",
+                 id="early_stop_return-too-large"),
     # a key of a removed estimator: refused at load, nothing written
-    ("include_gamma_in_target", "no"),
+    pytest.param("train", {"include_gamma_in_target": "no"}, "include_gamma_in_target",
+                 id="include_gamma_in_target-no"),
+    *[pytest.param(command, config, fault, id=f"{command}-{name}")
+      for command in CONFIGS for name, config, fault in CONFIG_FAULTS],
+    pytest.param("train", {"max_episodes": 0}, "max_episodes must be >= 1, got 0",
+                 id="train-count-below-1"),
+    pytest.param("train-bc", {"steps": 0}, "steps must be >= 1, got 0",
+                 id="train-bc-count-below-1"),
 ])
 def test_train_wrong_value_type_exit_1_writes_nothing(expert_file, tmp_path, capsys,
-                                                      field, value):
-    cfg_path = write_config(tmp_path, **{field: value})
+                                                      command, config, fault):
+    # every config fault of train and train-bc exits 1 naming the file
+    text = config if isinstance(config, str) else json.dumps(dict(CONFIGS[command], **config))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(with_long_int(text))
     out = tmp_path / "x"
-    rc = cli.main(["train", "--config", str(cfg_path),
+    rc = cli.main([command, "--config", str(cfg_path),
                    "--expert", str(expert_file), "--out", str(out)])
     assert rc == 1
-    assert field in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {cfg_path}: ") and fault in err
     assert not out.exists()
 
 
@@ -458,17 +506,27 @@ def without(doc, key):
     (lambda doc: dict(doc, env_id=5), "env_id must be a string, got 5"),
     (lambda doc: dict(doc, noise_dim=2), "the policy maps obs_dim 1 to act_dim 1, "
      "but linereacher-v0 has obs_dim 2 and act_dim 1"),
+    (lambda doc: without(doc, "noise_dim"),
+     "holds neither an actor's noise_dim nor a BC policy's log_std"),
+    (lambda doc: dict(doc, layers=[dict(l, weights=[LONG_INT] + l["weights"][1:])
+                                   for l in doc["layers"]]), DIGIT_LIMIT),
+    # a BC checkpoint is layers and a log_std, one entry per network output
+    (lambda doc: {"layers": doc["layers"], "log_std": [0.0] * 3},
+     "log_std length 3 does not match the network's output width 1"),
+    (lambda doc: {"layers": doc["layers"], "log_std": []},
+     "log_std length 0 does not match the network's output width 1"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
         "layer-not-an-object", "activation-not-a-string", "layers-empty",
         "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string",
         "weight-too-large-for-a-float",
         "noise-dim-fills-the-input", "noise-dim-negative", "env-id-not-a-string",
-        "noise-dim-narrows-the-observation"])
+        "noise-dim-narrows-the-observation", "neither-actor-nor-bc",
+        "weight-4401-digits", "bc-log-std-too-long", "bc-log-std-empty"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),
                                       np.random.default_rng(0)), path)
-    path.write_text(json.dumps(break_doc(json.loads(path.read_text()))))
+    path.write_text(with_long_int(json.dumps(break_doc(json.loads(path.read_text())))))
     rc = cli.main(["eval", "--actor", str(path), "--env", "linereacher-v0",
                    "--episodes", "1"])
     assert rc == 1

@@ -407,7 +407,7 @@ def test_critic_checkpoint_round_trip(tmp_path):
     path = tmp_path / "critic.ckpt"
     critic.save_critic(c, path)
     params, doc = net.load_checkpoint(path)
-    with net.checkpoint_errors(path):
+    with net.file_errors("checkpoint", path):
         net.check_json_types(doc, {"clamp_eps": "float"})
     assert doc["clamp_eps"] == c.clamp_eps
     assert np.array_equal(params.get_flat(), c.params.get_flat())

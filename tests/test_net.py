@@ -232,7 +232,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "net.ckpt"
     net.save_checkpoint(p, path, extra={"clamp_eps": 1e-6})
     q, doc = net.load_checkpoint(path)
-    with net.checkpoint_errors(path):
+    with net.file_errors("checkpoint", path):
         net.check_json_types(doc, {"clamp_eps": "float"})
     assert doc["clamp_eps"] == 1e-6
     assert [l["activation"] for l in doc["layers"]] == ["relu", "tanh"]

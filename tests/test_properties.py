@@ -45,6 +45,40 @@ def test_jsd_symmetric_bounded_and_zero_on_the_diagonal(a, b):
         assert jsd > 0.0
 
 
+# parameters scaled up to 5x saturate the sigmoid (short of overflowing its
+# exp), so the clamp binds on some rows; gamma reaches its smallest float
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), scale=st.floats(0.1, 5.0),
+       gamma=st.floats(0.0, 1.0, exclude_min=True) | st.just(5e-324),
+       clamp_eps=st.sampled_from([1e-12, 1e-6, 1e-2, 0.3, 0.49]),
+       done=st.lists(st.booleans(), min_size=1, max_size=12))
+def test_bootstrap_targets_are_ordered_clamped_and_clipped_double(seed, scale, gamma,
+                                                                  clamp_eps, done):
+    rng = np.random.default_rng(seed)
+    spec = envs.env_spec("pendulum-v0")
+    targets = [critic.make_critic(spec, rng, clamp_eps) for _ in range(2)]
+    for t in targets:
+        t.params.flat *= scale
+    n = len(done)
+    sa = np.concatenate([rng.normal(0.0, 2.0, (n, spec.obs_dim)),
+                         rng.uniform(-2.0, 2.0, (n, spec.act_dim))], axis=1)
+    done = np.array(done)
+    base = critic.target_base_batch(*targets, sa[:, :spec.obs_dim], sa[:, spec.obs_dim:],
+                                    gamma, done)
+    expert = critic.branch_target(base, "expert", clamp_eps)
+    beta = critic.branch_target(base, "beta", clamp_eps)
+    # the expert branch's reward factor 1 beats the beta branch's 1/2: never
+    # below it, and strictly above it wherever the clamp leaves room
+    assert np.all(expert >= beta)
+    assert np.all((expert > beta) | (expert == clamp_eps))
+    for branch in (expert, beta):
+        assert np.all((clamp_eps <= branch) & (branch <= 1.0 - clamp_eps))
+    # the minimum of the two target critics bootstraps a row that goes on
+    assert np.all(base[done] == 1.0)
+    for t in targets:
+        assert np.all(base[~done] <= critic.q_batch(t, sa)[~done] ** gamma)
+
+
 def _relu_pre_activations(params, x):
     _, cache = net.forward_batch(params, x, want_cache=True)
     return [a_in @ l.weights.T + l.bias
