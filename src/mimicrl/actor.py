@@ -120,17 +120,14 @@ def save_actor(policy, path):
     )
 
 
-_CHECKPOINT_KINDS = {"noise_dim": "int", "action_center": "floats",
-                     "action_halfwidth": "floats", "env_id": "str"}
-
-
 def load_actor(path, checkpoint=None):
     """The actor saved at path. checkpoint is the (params, doc) pair of
     ``net.load_checkpoint(path)``, for a caller that has read path."""
     params, doc = checkpoint or net.load_checkpoint(path)
     doc.setdefault("env_id", "")   # a checkpoint may leave its env unnamed
     with net.file_errors("checkpoint", path):
-        net.check_json_types(doc, _CHECKPOINT_KINDS)
+        net.check_json_types(doc, {"noise_dim": "int", "action_center": params.n_out,
+                                   "action_halfwidth": params.n_out, "env_id": "str"})
         if not 0 <= doc["noise_dim"] < params.n_in:
             raise DimensionMismatch(
                 f"noise_dim {doc['noise_dim']} must be in 0..{params.n_in - 1}, so that "

@@ -18,14 +18,16 @@ template per record rather than building the dict, and ``load_dataset``
 decodes a line that is one object and its newline with one
 ``raw_decode``, sending any other line to ``json.loads``; so the time of
 both goes to float formatting and JSON scanning. ``load_dataset`` takes
-the env from the registry, checks every value's JSON type, and requires
-line 1 to equal ``metadata`` of the dataset it read (return stats to
-1e-9).
+the env from the registry, checks every value's JSON type and counts each
+record's ``obs``, ``act`` and ``next_obs`` by the env's widths (both by
+``net.check_json_types``), and requires line 1 to equal ``metadata`` of
+the dataset it read (return stats to 1e-9).
 
 Of stored data, only expert datasets keep rewards. The return filter runs
 once, in ``trainer.generate_expert``; ExpertDataset checks, in (traj_id, t)
 order, that every trajectory is t = 0..horizon-1 with done only at the
-last and clears the recorded filter threshold. The replay buffer does not
+last and has a return strictly above the recorded filter threshold, as
+the filter requires (a nan return is not). The replay buffer does not
 store rewards at all, and training code receives TransitionArrays views,
 which have no reward field, so no update can read a reward.
 
@@ -49,7 +51,8 @@ from . import net
 from .envs import env_spec
 from .errors import DatasetFormatError, DimensionMismatch, UnknownEnvError
 
-# each line's keys, in file order, with their JSON kinds (net.check_json_types)
+# each line's keys, in file order, with their JSON kinds (net.check_json_types);
+# load_dataset counts a record's lists by its env's widths
 _METADATA_KINDS = {
     "env_id": "str", "obs_dim": "int", "act_dim": "int", "action_low": "floats",
     "action_high": "floats", "horizon": "int", "n_trajectories": "int",
@@ -299,11 +302,13 @@ class ExpertDataset:
         # each trajectory's return, summed as Python floats in t order
         rewards = columns.reward[order]
         returns = [sum(rewards[k:k + horizon].tolist()) for k in range(0, n, horizon)]
-        if min(returns) <= self.filter_threshold:
-            k = returns.index(min(returns)) * horizon
+        # every return must exceed the threshold, as in generate_expert; the
+        # lowest return, or the first nan, is the one to name
+        k = int(np.argmin(returns))
+        if not returns[k] > self.filter_threshold:
             raise DatasetFormatError(
-                f"trajectory return {min(returns)} does not exceed the recorded "
-                f"filter threshold {self.filter_threshold}", index=int(order[k]),
+                f"trajectory return {returns[k]} does not exceed the recorded "
+                f"filter threshold {self.filter_threshold}", index=int(order[k * horizon]),
             )
         del order, rewards   # the check's arrays go before the records come
         self.n_trajectories = len(returns)
@@ -411,7 +416,7 @@ def _decoded(raw):
 
 def _parse_line(raw, line_no, kinds):
     """The JSON object on line line_no, once it has every key of kinds and
-    each value has its kind's JSON type."""
+    each value has its kind (net.check_json_types)."""
     try:
         doc = _decoded(raw)
     except json.JSONDecodeError as e:
@@ -420,11 +425,10 @@ def _parse_line(raw, line_no, kinds):
         raise DatasetFormatError(f"bad value: {e}", line=line_no) from None
     if not isinstance(doc, dict):
         raise DatasetFormatError("expected a JSON object", line=line_no)
-    if not doc.keys() >= kinds.keys():
-        missing = [k for k in kinds if k not in doc]
-        raise DatasetFormatError(f"missing keys {missing}", line=line_no)
     try:
         net.check_json_types(doc, kinds)
+    except KeyError as e:
+        raise DatasetFormatError(f"missing key {e}", line=line_no) from None
     except ValueError as e:
         raise DatasetFormatError(f"bad value: {e}", line=line_no) from None
     return doc
@@ -460,6 +464,8 @@ def load_dataset(path):
             spec = env_spec(meta["env_id"])
         except UnknownEnvError as e:
             raise DatasetFormatError(e.args[0], line=1) from None
+        kinds = dict(_TRANSITION_KINDS, obs=spec.obs_dim, act=spec.act_dim,
+                     next_obs=spec.obs_dim)
         # checked lines go into columns that grow as lines arrive, at most
         # _LOAD_ROWS at a time
         cols = DatasetColumns.empty(spec)
@@ -467,19 +473,7 @@ def load_dataset(path):
         for line_no, raw in enumerate(f, start=2):
             if raw.isspace():
                 raise DatasetFormatError("blank line inside dataset", line=line_no)
-            rec = _parse_line(raw, line_no, _TRANSITION_KINDS)
-            obs, act, next_obs = rec["obs"], rec["act"], rec["next_obs"]
-            if len(obs) != spec.obs_dim or len(next_obs) != spec.obs_dim:
-                raise DatasetFormatError(
-                    f"obs length {(len(obs),)} does not match obs_dim {spec.obs_dim}",
-                    line=line_no,
-                )
-            if len(act) != spec.act_dim:
-                raise DatasetFormatError(
-                    f"act length {(len(act),)} does not match act_dim {spec.act_dim}",
-                    line=line_no,
-                )
-            recs.append(rec)
+            recs.append(_parse_line(raw, line_no, kinds))
             if len(recs) == _LOAD_ROWS:
                 _extend(cols, recs)
         _extend(cols, recs)

@@ -6,8 +6,11 @@ to the parameters (``backward_batch``) or to the inputs
 (``input_grad_batch``), a bias-corrected Adam optimizer, a
 central-difference gradient checker, and a JSON checkpoint format whose
 reader, like the dataset reader, checks each value's JSON type.
-``file_errors`` is the one rule that puts a file's name in front of a
-fault: every fault in a checkpoint or a config file names that file.
+``check_json_types`` is the one rule for a value read from a file: a
+key's presence, its JSON kind and, for a list, its length, named by a
+count (``{key} holds 3 numbers, not 1``). ``file_errors`` is the one rule
+that puts a file's name in front of a fault: every fault in a checkpoint
+or a config file names that file.
 
 Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
@@ -445,7 +448,7 @@ def save_checkpoint(params, path, extra=None):
 # and checkpoints: the Python types json.load gives that kind, matched by
 # exact type so that true and false pass only as a bool: an integer for an
 # int, any number a float64 holds for a float; the kind "floats" is a list
-# of such numbers
+# of such numbers, and a count n is a list of n of them
 _JSON_TYPES = {"int": (int,), "bool": (bool,), "str": (str,)}
 _NUMBER_TYPES = frozenset((int, float))
 _FLOAT_TYPE = frozenset((float,))
@@ -454,8 +457,7 @@ _FLOAT_TYPE = frozenset((float,))
 _INT_PAST_FLOAT = 2**1024 - 2**970
 _KIND_NAMES = {"int": "an integer", "float": "a number", "bool": "true or false",
                "str": "a string", "floats": "a list of numbers"}
-_LAYER_KINDS = {"in": "int", "out": "int", "activation": "str", "weights": "floats",
-                "bias": "floats"}
+_LAYER_KINDS = {"in": "int", "out": "int", "activation": "str"}
 
 
 def _are_numbers(key, values):
@@ -472,19 +474,24 @@ def _are_numbers(key, values):
 
 def check_json_types(doc, kinds):
     """Raise ValueError unless each doc[key] has the JSON type kinds[key]
-    names (KeyError if the key is missing)."""
+    names, where a count n names a list of n numbers (KeyError if the key
+    is missing)."""
     for key, kind in kinds.items():
         value = doc[key]
-        if kind == "floats":
-            # a list of floats alone, as every writer here gives, takes one pass
-            ok = type(value) is list and (_FLOAT_TYPE.issuperset(map(type, value))
-                                           or _are_numbers(key, value))
+        if kind in _JSON_TYPES:
+            ok = type(value) in _JSON_TYPES[kind]
         elif kind == "float":
             ok = type(value) is float or _are_numbers(key, (value,))
         else:
-            ok = type(value) in _JSON_TYPES[kind]
+            # "floats" or a count; a list of floats alone, as every writer
+            # here gives, takes one pass
+            ok = type(value) is list and (_FLOAT_TYPE.issuperset(map(type, value))
+                                           or _are_numbers(key, value))
+            if ok and type(kind) is int and len(value) != kind:
+                raise ValueError(f"{key} holds {len(value)} numbers, not {kind}")
         if not ok:
-            raise ValueError(f"{key} must be {_KIND_NAMES[kind]}, got {reprlib.repr(value)}")
+            name = _KIND_NAMES.get(kind, _KIND_NAMES["floats"])
+            raise ValueError(f"{key} must be {name}, got {reprlib.repr(value)}")
 
 
 @contextlib.contextmanager
@@ -515,12 +522,10 @@ def load_checkpoint(path):
         layers = []
         for spec in specs:
             check_json_types(spec, _LAYER_KINDS)
+            n_in, n_out = spec["in"], spec["out"]
+            check_json_types(spec, {"weights": n_in * n_out, "bias": n_out})
             w = np.asarray(spec["weights"], dtype=np.float64)
-            if w.size != spec["in"] * spec["out"]:
-                raise DimensionMismatch(
-                    f"weights length {w.size} does not match {spec['out']}x{spec['in']}"
-                )
-            layers.append(Layer(w.reshape(spec["out"], spec["in"]),
-                                np.asarray(spec["bias"]), spec["activation"]))
+            layers.append(Layer(w.reshape(n_out, n_in), np.asarray(spec["bias"]),
+                                spec["activation"]))
         params = NetworkParams(layers)
     return params, doc

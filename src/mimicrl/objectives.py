@@ -218,12 +218,7 @@ def load_bc_policy(path, spec, checkpoint=None):
     caller that has read path."""
     params, doc = checkpoint or net.load_checkpoint(path)
     with net.file_errors("checkpoint", path):
-        net.check_json_types(doc, {"log_std": "floats"})
-        if len(doc["log_std"]) != params.n_out:
-            raise DimensionMismatch(
-                f"log_std length {len(doc['log_std'])} does not match the "
-                f"network's output width {params.n_out}"
-            )
+        net.check_json_types(doc, {"log_std": params.n_out})
     return GaussianBCPolicy(
         mean_net=params,
         log_std=np.asarray(doc["log_std"], dtype=np.float64),

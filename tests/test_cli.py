@@ -1,5 +1,6 @@
 import builtins
 import json
+import math
 import os
 import subprocess
 import sys
@@ -185,10 +186,16 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     pytest.param(2, "obs", [-10**400, 0.5], id="2-obs-too-large"),
     # and one past Python's digit limit must not fail without its line
     pytest.param(2, "obs", [LONG_INT, 0.5], id="2-obs-4401-digits"),
+    # a file with no line at all
+    pytest.param(1, None, None, id="empty-file"),
 ])
 def test_inspect_malformed_value_exit_1_names_line(expert_file, tmp_path, capsys,
                                                    line_no, key, value):
-    bad = edited_copy(expert_file, tmp_path, line_no, key, value)
+    if key is None:
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("")
+    else:
+        bad = edited_copy(expert_file, tmp_path, line_no, key, value)
     assert cli.main(["inspect", "--data", str(bad)]) == 1
     assert capsys.readouterr().err.startswith(f"error: line {line_no}: ")
 
@@ -354,6 +361,8 @@ CONFIG_FAULTS = [
                  id="train-count-below-1"),
     pytest.param("train-bc", {"steps": 0}, "steps must be >= 1, got 0",
                  id="train-bc-count-below-1"),
+    *[pytest.param("train", {"gamma": gamma}, f"gamma must be in (0, 1], got {gamma}",
+                   id=f"gamma-{gamma}") for gamma in (0.0, 1.5, math.nan)],
 ])
 def test_train_wrong_value_type_exit_1_writes_nothing(expert_file, tmp_path, capsys,
                                                       command, config, fault):
@@ -512,16 +521,19 @@ def without(doc, key):
                                    for l in doc["layers"]]), DIGIT_LIMIT),
     # a BC checkpoint is layers and a log_std, one entry per network output
     (lambda doc: {"layers": doc["layers"], "log_std": [0.0] * 3},
-     "log_std length 3 does not match the network's output width 1"),
+     "log_std holds 3 numbers, not 1"),
     (lambda doc: {"layers": doc["layers"], "log_std": []},
-     "log_std length 0 does not match the network's output width 1"),
+     "log_std holds 0 numbers, not 1"),
+    (lambda doc: dict(doc, layers=[dict(l, activation="softplus") for l in doc["layers"]]),
+     "unknown activation 'softplus'"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
         "layer-not-an-object", "activation-not-a-string", "layers-empty",
         "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string",
         "weight-too-large-for-a-float",
         "noise-dim-fills-the-input", "noise-dim-negative", "env-id-not-a-string",
         "noise-dim-narrows-the-observation", "neither-actor-nor-bc",
-        "weight-4401-digits", "bc-log-std-too-long", "bc-log-std-empty"])
+        "weight-4401-digits", "bc-log-std-too-long", "bc-log-std-empty",
+        "activation-unknown"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),

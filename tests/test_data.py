@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -401,14 +402,19 @@ def test_return_below_threshold_names_the_lowest_trajectorys_first_record(tmp_pa
     ds = expert_fixture(tmp_path)
     returns = [sum(tr.reward for tr in ds.transitions[200 * k:200 * (k + 1)])
                for k in range(3)]
-    lines = (tmp_path / "exp.jsonl").read_text().splitlines()
-    meta = json.loads(lines[0])
-    meta["filter_threshold"] = max(returns)   # every trajectory fails
-    lines[0] = json.dumps(meta)
-    (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
-    with pytest.raises(DatasetFormatError, match="does not exceed the recorded") as exc:
-        data.load_dataset(tmp_path / "bad.jsonl")
-    assert exc.value.line == 2 + 200 * returns.index(min(returns))
+    lowest = returns.index(min(returns))
+    # (line index, key, value, trajectory named): a threshold at the highest
+    # return, a nan threshold, and a nan reward, whose return exceeds no
+    # threshold
+    for i, key, value, k in ((0, "filter_threshold", max(returns), lowest),
+                             (0, "filter_threshold", math.nan, lowest),
+                             (206, "reward", math.nan, 1)):
+        lines = (tmp_path / "exp.jsonl").read_text().splitlines()
+        lines[i] = json.dumps(dict(json.loads(lines[i]), **{key: value}))
+        (tmp_path / "bad.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match="does not exceed the recorded") as exc:
+            data.load_dataset(tmp_path / "bad.jsonl")
+        assert exc.value.line == 2 + 200 * k
 
 
 @pytest.mark.parametrize("horizon", [1, 2])
@@ -426,6 +432,12 @@ def test_dataset_rejects_return_below_threshold():
     traj = [make_tr(i, horizon=200, reward=-1.0, traj_id=0) for i in range(200)]
     with pytest.raises(DatasetFormatError):
         expert_dataset(spec, traj, -100.0)  # total return -200 < -100
+    # a nan return exceeds no threshold: the second trajectory's first record
+    records = traj + [make_tr(i, horizon=200, reward=-0.1, traj_id=1) for i in range(200)]
+    records[205].reward = math.nan
+    with pytest.raises(DatasetFormatError, match="^trajectory return nan ") as exc:
+        expert_dataset(spec, records, -100.0)
+    assert exc.value.index == 200
 
 
 def test_dataset_training_arrays_strip_reward(tmp_path):

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from mimicrl import critic, data, envs, net, trainer
+from mimicrl import actor, critic, data, envs, net, objectives, trainer
 from mimicrl.envs import EnvSpec
-from mimicrl.errors import DatasetFormatError
+from mimicrl.errors import DatasetFormatError, MimicError
 from test_data import expert_dataset
 
 LN2 = math.log(2.0)
@@ -77,6 +77,27 @@ def test_bootstrap_targets_are_ordered_clamped_and_clipped_double(seed, scale, g
     assert np.all(base[done] == 1.0)
     for t in targets:
         assert np.all(base[~done] <= critic.q_batch(t, sa)[~done] ** gamma)
+
+
+# the tanh output layer keeps every action in the box, ends included, at any
+# parameter scale: past a few units tanh saturates to exactly +-1, and the
+# action is then an end of the box (scales stay short of overflowing a float)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(env_id=st.sampled_from(envs.ENV_IDS), seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e12), noise_dim=st.integers(0, 2), rows=st.integers(1, 8))
+@example(env_id="linereacher-v0", seed=0, scale=1e12, noise_dim=1, rows=8)
+@example(env_id="pendulum-v0", seed=0, scale=1e12, noise_dim=1, rows=8)
+def test_actor_actions_stay_in_the_action_box_at_any_scale(env_id, seed, scale,
+                                                          noise_dim, rows):
+    spec = envs.env_spec(env_id)
+    rng = np.random.default_rng(seed)
+    policy = actor.make_actor(spec, rng, noise_dim)
+    policy.params.flat *= scale
+    obs = rng.normal(0.0, 3.0, (rows, spec.obs_dim))
+    z = rng.standard_normal((rows, noise_dim))
+    for a in (actor.act(policy, obs, z), actor.act(policy, obs[0], z[0]),
+              actor.act_batch(policy, obs, z), policy.eval_action(obs)):
+        assert np.all((spec.action_low <= a) & (a <= spec.action_high))
 
 
 def _relu_pre_activations(params, x):
@@ -419,3 +440,62 @@ def test_training_ignores_any_expert_rewards(reward_blind_baseline, rewards):
     for i, tr in enumerate(dataset.transitions):
         tr.reward = rewards[i % len(rewards)]
     assert _trained_params(trainer.train(config, dataset)) == want
+
+
+@pytest.fixture(scope="module")
+def saved_texts(tmp_path_factory):
+    """Per env: a one-trajectory dataset's lines, and the text of an actor
+    and of a BC checkpoint, as saved."""
+    tmp = tmp_path_factory.mktemp("saved")
+    texts = {}
+    for env_id in envs.ENV_IDS:
+        spec = envs.env_spec(env_id)
+        rng = np.random.default_rng(5)
+        data.save_dataset(trainer.generate_expert(env_id, 1, -1e9, seed=5), tmp / "data")
+        actor.save_actor(actor.make_actor(spec, rng), tmp / "actor")
+        objectives.save_bc_policy(objectives.make_bc_policy(spec, rng), tmp / "bc")
+        texts[env_id] = ((tmp / "data").read_text().splitlines(),
+                         (tmp / "actor").read_text(), (tmp / "bc").read_text())
+    return texts
+
+
+# every list a file holds has a count, and one wrong count is refused by the
+# key's name and both counts, with the dataset line or the checkpoint file
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(env_id=st.sampled_from(envs.ENV_IDS),
+       key=st.sampled_from(["obs", "act", "next_obs", "weights", "bias", "action_center",
+                            "action_halfwidth", "log_std"]),
+       data_draw=st.data())
+def test_a_wrong_list_length_is_refused_by_key_and_counts(saved_texts, env_id, key,
+                                                          data_draw):
+    spec = envs.env_spec(env_id)
+    lines, actor_text, bc_text = saved_texts[env_id]
+    is_record = key in ("obs", "act", "next_obs")
+    is_bc = key == "log_std" or (key in ("weights", "bias") and data_draw.draw(st.booleans()))
+    if is_record:
+        k = data_draw.draw(st.integers(1, len(lines) - 1))
+        doc = held = json.loads(lines[k])
+    else:
+        doc = held = json.loads(bc_text if is_bc else actor_text)
+        if key in ("weights", "bias"):
+            held = data_draw.draw(st.sampled_from(doc["layers"]))
+    want = len(held[key])
+    n = data_draw.draw(st.integers(0, want + 3).filter(lambda n: n != want))
+    held[key] = [0.5] * n
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "file")
+        with open(path, "w", encoding="utf-8") as f:
+            if is_record:
+                f.write("".join(line + "\n" for line in
+                                lines[:k] + [json.dumps(doc)] + lines[k + 1:]))
+            else:
+                json.dump(doc, f)
+        with pytest.raises(MimicError) as exc:
+            if is_record:
+                data.load_dataset(path)
+            elif is_bc:
+                objectives.load_bc_policy(path, spec)
+            else:
+                actor.load_actor(path)
+    where = f"line {k + 1}: bad value: " if is_record else f"checkpoint {path}: "
+    assert str(exc.value) == f"{where}{key} holds {n} numbers, not {want}"
