@@ -463,7 +463,7 @@ def load_dataset(path):
         try:
             spec = env_spec(meta["env_id"])
         except UnknownEnvError as e:
-            raise DatasetFormatError(e.args[0], line=1) from None
+            raise DatasetFormatError(str(e), line=1) from None
         kinds = dict(_TRANSITION_KINDS, obs=spec.obs_dim, act=spec.act_dim,
                      next_obs=spec.obs_dim)
         # checked lines go into columns that grow as lines arrive, at most

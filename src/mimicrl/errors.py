@@ -13,7 +13,7 @@ class NonFiniteError(MimicError, FloatingPointError):
     """A NaN or infinity showed up where training cannot continue."""
 
 
-class UnknownEnvError(MimicError, KeyError):
+class UnknownEnvError(MimicError, ValueError):
     """Requested env_id is not registered."""
 
 

@@ -8,9 +8,10 @@ central-difference gradient checker, and a JSON checkpoint format whose
 reader, like the dataset reader, checks each value's JSON type.
 ``check_json_types`` is the one rule for a value read from a file: a
 key's presence, its JSON kind and, for a list, its length, named by a
-count (``{key} holds 3 numbers, not 1``). ``file_errors`` is the one rule
-that puts a file's name in front of a fault: every fault in a checkpoint
-or a config file names that file.
+count (``{key} holds 3 numbers, not 1``); ``check_counts`` is the one
+rule for a count (``in must be >= 1, got 0``). ``file_errors`` is the
+one rule that puts a file's name in front of a fault: every fault in a
+checkpoint or a config file names that file.
 
 Each network stores its parameters in one contiguous float64 vector
 (``NetworkParams.flat``) with the layer arrays as views into it, so the
@@ -47,7 +48,10 @@ def _activate(name, z):
     elif name == "sigmoid":
         # 1 / (1 + exp(-z)), step by step
         np.negative(z, out=z)
-        np.exp(z, out=z)
+        # exp(-z) overflows to inf for z below about -709.8, where
+        # 1 / (1 + inf) gives the sigmoid's exact 0
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
         z += 1.0
         np.divide(1.0, z, out=z)
 
@@ -494,6 +498,14 @@ def check_json_types(doc, kinds):
             raise ValueError(f"{key} must be {name}, got {reprlib.repr(value)}")
 
 
+def check_counts(doc, keys):
+    """Raise ValueError unless each doc[key] is at least 1: the one rule
+    for a count, in configs and checkpoints."""
+    for key in keys:
+        if doc[key] < 1:
+            raise ValueError(f"{key} must be >= 1, got {doc[key]!r}")
+
+
 @contextlib.contextmanager
 def file_errors(what, path):
     """Re-raise a KeyError or ValueError from the block, such as a JSON
@@ -522,6 +534,7 @@ def load_checkpoint(path):
         layers = []
         for spec in specs:
             check_json_types(spec, _LAYER_KINDS)
+            check_counts(spec, ("in", "out"))
             n_in, n_out = spec["in"], spec["out"]
             check_json_types(spec, {"weights": n_in * n_out, "bias": n_out})
             w = np.asarray(spec["weights"], dtype=np.float64)

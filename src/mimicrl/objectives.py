@@ -158,12 +158,6 @@ class JsonConfig:
                 f"{self.env_id!r}"
             )
 
-    def _require_at_least_one(self, *names):
-        for name in names:
-            v = getattr(self, name)
-            if v < 1:
-                raise ValueError(f"{name} must be >= 1, got {v!r}")
-
     def _require_unit_interval(self, *names):
         for name in names:
             v = getattr(self, name)
@@ -181,7 +175,7 @@ class BCConfig(JsonConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        self._require_at_least_one("steps", "batch")
+        net.check_counts(vars(self), ("steps", "batch"))
         self._require_unit_interval("lr")
 
 

@@ -67,9 +67,9 @@ class TrainConfig(JsonConfig):
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         # tau = 0 freezes the targets entirely (soft updates are skipped)
         self._require_unit_interval("tau", "actor_lr", "critic_lr")
-        self._require_at_least_one(
+        net.check_counts(vars(self), (
             "batch_expert", "batch_beta", "max_episodes", "eval_every",
-            "eval_episodes", "buffer_capacity")
+            "eval_episodes", "buffer_capacity"))
         if self.noise_dim is not None and self.noise_dim < 0:
             raise ValueError(f"noise_dim must be >= 0, got {self.noise_dim}")
         # the clamp interval [clamp_eps, 1 - clamp_eps] must be nonempty

@@ -186,6 +186,8 @@ def test_inspect_corrupt_file_exit_1(tmp_path, capsys):
     pytest.param(2, "obs", [-10**400, 0.5], id="2-obs-too-large"),
     # and one past Python's digit limit must not fail without its line
     pytest.param(2, "obs", [LONG_INT, 0.5], id="2-obs-4401-digits"),
+    # a record list of the wrong length
+    pytest.param(2, "next_obs", [0.5], id="2-next_obs-short"),
     # a file with no line at all
     pytest.param(1, None, None, id="empty-file"),
 ])
@@ -238,6 +240,19 @@ def test_inspect_accepts_return_stats_within_tolerance(expert_file, tmp_path):
     meta = json.loads(expert_file.read_text().splitlines()[0])
     near = edited_copy(expert_file, tmp_path, 1, "return_mean", meta["return_mean"] + 1e-10)
     assert cli.main(["inspect", "--data", str(near)]) == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--actor", "actor.ckpt"],
+    ["gen-expert", "--threshold", "0", "--out", "e.jsonl"],
+])
+def test_an_unknown_env_exit_1_with_the_plain_message(tmp_path, capsys, monkeypatch,
+                                                      command):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*command, "--env", "other-v0"]) == 1
+    assert capsys.readouterr().err == \
+        "error: unknown env_id 'other-v0'; known: ('linereacher-v0', 'pendulum-v0')\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_bc_on_an_unregistered_env_exit_1(expert_file, tmp_path, capsys):
@@ -502,6 +517,7 @@ def without(doc, key):
     (lambda doc: dict(doc, noise_dim=True), "noise_dim must be an integer, got True"),
     (lambda doc: dict(doc, action_center=["0"]),
      "action_center must be a list of numbers, got ['0']"),
+    (lambda doc: dict(doc, action_center=[0.0] * 3), "action_center holds 3 numbers, not 1"),
     (lambda doc: dict(doc, layers=[dict(l, weights="0") for l in doc["layers"]]),
      "weights must be a list of numbers, got '0'"),
     (lambda doc: dict(doc, layers=[dict(l, weights=[10**400] + l["weights"][1:])
@@ -526,14 +542,23 @@ def without(doc, key):
      "log_std holds 0 numbers, not 1"),
     (lambda doc: dict(doc, layers=[dict(l, activation="softplus") for l in doc["layers"]]),
      "unknown activation 'softplus'"),
+    # a layer's sizes count its inputs and outputs
+    (lambda doc: dict(doc, layers=[dict(l, **{"in": -64, "out": -64}) for l in doc["layers"]]),
+     "in must be >= 1, got -64"),
+    (lambda doc: dict(doc, layers=[dict(l, **{"in": -1, "out": 0}) for l in doc["layers"]]),
+     "in must be >= 1, got -1"),
+    (lambda doc: dict(doc, layers=[dict(l, out=0) for l in doc["layers"]]),
+     "out must be >= 1, got 0"),
 ], ids=["no-layers", "layer-without-bias", "no-action-center", "layers-not-a-list",
         "layer-not-an-object", "activation-not-a-string", "layers-empty",
-        "noise-dim-string", "noise-dim-bool", "action-center-strings", "weights-string",
+        "noise-dim-string", "noise-dim-bool", "action-center-strings",
+        "action-center-too-long", "weights-string",
         "weight-too-large-for-a-float",
         "noise-dim-fills-the-input", "noise-dim-negative", "env-id-not-a-string",
         "noise-dim-narrows-the-observation", "neither-actor-nor-bc",
         "weight-4401-digits", "bc-log-std-too-long", "bc-log-std-empty",
-        "activation-unknown"])
+        "activation-unknown", "layer-sizes-negative", "layer-sizes-below-1",
+        "layer-out-zero"])
 def test_eval_malformed_checkpoint_exit_1(tmp_path, capsys, break_doc, fault):
     path = tmp_path / "actor.ckpt"
     actor.save_actor(actor.make_actor(env_spec("linereacher-v0"),

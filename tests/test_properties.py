@@ -100,6 +100,49 @@ def test_actor_actions_stay_in_the_action_box_at_any_scale(env_id, seed, scale,
         assert np.all((spec.action_low <= a) & (a <= spec.action_high))
 
 
+# evaluate steps its n episodes in lockstep through one stacked forward per
+# step; each return is, bit for bit, that of its episode evaluated alone
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(env_id=st.sampled_from(envs.ENV_IDS), bc=st.booleans(), seed=st.integers(0, 2**32),
+       scale=st.floats(0.1, 10.0), n=st.integers(1, 8))
+@example(env_id="linereacher-v0", bc=False, seed=0, scale=1.0, n=8)
+@example(env_id="pendulum-v0", bc=True, seed=0, scale=4.0, n=8)
+def test_lockstep_evaluation_returns_what_one_episode_runs_return(env_id, bc, seed,
+                                                                 scale, n):
+    spec = envs.env_spec(env_id)
+    rng = np.random.default_rng(seed)
+    policy = (objectives.make_bc_policy if bc else actor.make_actor)(spec, rng)
+    (policy.mean_net if bc else policy.params).flat *= scale
+    returns = trainer.evaluate(policy, env_id, n, seed)[2]
+    alone = [trainer.evaluate(policy, env_id, 1, seed + i)[2][0] for i in range(n)]
+    assert np.array(returns).tobytes() == np.array(alone).tobytes()
+
+
+# at zero torque pendulum-v0's step (semi-implicit Euler: the speed moves
+# first, then the angle by the new speed) keeps the energy 0.5·θ̇² + G·cos θ,
+# G = 3g / 2l = 15, within a bound of its start value over a whole episode.
+# Every reset has |θ̇| <= 1, so the energy stays at most 15.5 and the speed
+# below the 8 rad/s clamp. Over seeds 0-4,999 the worst drift is 2.40
+# (seed 2546), against an energy range of 30.5.
+PENDULUM_ENERGY_DRIFT = 2.5
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32))
+@example(seed=2546)
+def test_pendulum_energy_holds_at_zero_torque(seed):
+    def energy(state):
+        theta, theta_dot = state.phys
+        return 0.5 * theta_dot * theta_dot + 15.0 * math.cos(theta)
+
+    state, _ = envs.reset("pendulum-v0", seed)
+    start, zero, done = energy(state), np.zeros(1), False
+    while not done:
+        state, _, _, done = envs.step(state, zero)
+        assert abs(state.phys[1]) < 8.0
+        assert abs(energy(state) - start) <= PENDULUM_ENERGY_DRIFT
+
+
 def _relu_pre_activations(params, x):
     _, cache = net.forward_batch(params, x, want_cache=True)
     return [a_in @ l.weights.T + l.bias

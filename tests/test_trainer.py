@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -292,18 +293,26 @@ def far_out_rows(rng, n):
     return TransitionArrays(obs, rng.uniform(-1.0, 1.0, (n, 1)), next_obs, done)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
-@pytest.mark.parametrize("n_e,n_b", [(128, 128), (16, 24)])
-def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
+def far_out_learner(n_e, n_b):
+    """A config at n_e + n_b rows, a fresh learner, 400 far-out expert rows
+    and a replay buffer of 400 far-out rows (also returned as arrays)."""
     cfg = small_config(batch_expert=n_e, batch_beta=n_b)
-    lib, ref = (trainer.build_learner(cfg, np.random.default_rng(cfg.seed))
-                for _ in range(2))
+    lib = trainer.build_learner(cfg, np.random.default_rng(cfg.seed))
     rng = np.random.default_rng([n_e, n_b])
     expert, replay = far_out_rows(rng, 400), far_out_rows(rng, 400)
     buf = ReplayBuffer(400, 2, 1)
     for i in range(400):
         buf.push(Transition(replay.obs[i], replay.act[i], replay.next_obs[i],
                             replay.done[i], 0.0))
+    return cfg, lib, expert, replay, buf
+
+
+# the reference's plain sigmoid, 1 / (1 + np.exp(-z)), warns as it overflows
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.parametrize("n_e,n_b", [(128, 128), (16, 24)])
+def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
+    cfg, lib, expert, replay, buf = far_out_learner(n_e, n_b)
+    ref = trainer.build_learner(cfg, np.random.default_rng(cfg.seed))
     q = critic_mod.q_batch(lib.critic1, np.concatenate([replay.obs, replay.act], axis=1))
     assert np.any(q == 1e-6) and np.any(q == 1.0 - 1e-6)
 
@@ -316,6 +325,20 @@ def test_update_step_matches_reference_bit_for_bit(n_e, n_b):
     assert rows == ref_rows
     assert_same_learner(lib, ref)
     assert lib.global_step == lib.opt_actor.step_count == 200
+
+
+def test_update_step_on_far_out_rows_warns_of_no_overflow():
+    # far-out rows drive critic pre-activations past exp's range (the replay
+    # rows' pass and the second update's do); the sigmoid there is an exact
+    # 0 or 1, not a fault to report
+    cfg, lib, expert, replay, buf = far_out_learner(128, 128)
+    rng = np.random.default_rng(5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        q = critic_mod.q_batch(lib.critic1, np.concatenate([replay.obs, replay.act], axis=1))
+        for _ in range(2):
+            trainer.update_step(lib, expert, buf, cfg, rng, episode=1)
+    assert np.any(q == 1e-6) and np.any(q == 1.0 - 1e-6)
 
 
 def assert_same_learner(lib, ref):
